@@ -119,9 +119,15 @@ bench:
 
 # Machine-readable commit-protocol benchmark (sfences, flush write-backs
 # and simulated ns per commit across pipeline x flush instruction x txn
-# size, plus trace-replay throughput per stack).
+# size, plus trace-replay throughput per stack).  Every number in it is
+# on the simulated clock, so the fresh copy under _build/ must equal the
+# committed BENCH_commit.json byte for byte; after an intended change to
+# the simulated results, regenerate the committed file with
+# `dune exec bin/tinca_bench.exe -- bench-json` and record why they moved.
 bench-json:
-	dune exec bin/tinca_bench.exe -- bench-json --out BENCH_commit.json
+	dune exec bin/tinca_bench.exe -- bench-json --out _build/BENCH_commit.json
+	@diff -u BENCH_commit.json _build/BENCH_commit.json \
+	  || { echo "bench-json: simulated results differ from the committed BENCH_commit.json"; exit 1; }
 
 # Just the paper's tables and figures (see `tinca_bench list`).
 experiments:

@@ -393,7 +393,7 @@ let format ~nshards ~config:cfg ~pmem ~disk ~clock ~metrics =
     Codec.set_u64 hdr 0 dir_magic;
     Codec.set_u32 hdr 8 nshards;
     Pmem.write pmem ~off:0 hdr;
-    lines := lines_of_range ~off:0 ~len:header_bytes @ !lines
+    lines := List.rev_append (lines_of_range ~off:0 ~len:header_bytes) !lines
   end;
   Array.iter
     (fun s ->
@@ -556,14 +556,14 @@ let unstage t staged =
       | Some p when p.p_slot >= 0 ->
           write_entry t s ~slot:p.p_slot
             (committed_entry ~blkno:p.p_blkno ~frame:p.p_frame ~epoch:s.epoch);
-          lines := lines_of_range ~off:(entry_off s.geom p.p_slot) ~len:entry_size @ !lines
+          lines := List.rev_append (lines_of_range ~off:(entry_off s.geom p.p_slot) ~len:entry_size) !lines
       | Some _ -> ()
       | None ->
           Pmem.atomic_write16 t.pmem ~off:(entry_off s.geom st.st_slot)
             (Bytes.make entry_size '\000');
           s.swings <- s.swings + 1;
           Free_monitor.free s.free_slots st.st_slot;
-          lines := lines_of_range ~off:(entry_off s.geom st.st_slot) ~len:entry_size @ !lines);
+          lines := List.rev_append (lines_of_range ~off:(entry_off s.geom st.st_slot) ~len:entry_size) !lines);
       match st.st_old with Some p -> p.p_pinned <- false | None -> ())
     staged;
   if !lines <> [] then (
@@ -658,7 +658,7 @@ let publish t writes ~cause =
              in
              Pmem.set_site t.pmem "paging.cow";
              Pmem.write t.pmem ~off:(frame_off s.geom frame) data;
-             lines := lines_of_range ~off:(frame_off s.geom frame) ~len:s.geom.block_size @ !lines;
+             lines := List.rev_append (lines_of_range ~off:(frame_off s.geom frame) ~len:s.geom.block_size) !lines;
              let has_old = match old with Some p when p.p_slot >= 0 -> true | _ -> false in
              let frame_a = match old with Some p when p.p_slot >= 0 -> p.p_frame | _ -> 0 in
              Pmem.set_site t.pmem "paging.swing";
@@ -671,7 +671,7 @@ let publish t writes ~cause =
                  e_blkno = blkno;
                  e_epoch = s.epoch + 1;
                };
-             lines := lines_of_range ~off:(entry_off s.geom slot) ~len:entry_size @ !lines;
+             lines := List.rev_append (lines_of_range ~off:(entry_off s.geom slot) ~len:entry_size) !lines;
              staged := { st_shard = sh; st_blkno = blkno; st_slot = slot; st_frame = frame; st_old = old } :: !staged)
            writes
        with Transaction_too_large ->
@@ -873,7 +873,7 @@ let recover_shard t ~shard_id ~roll_forward =
        durable before the seal, so adopting it is safe and idempotent. *)
     Pmem.set_site t.pmem "paging.recover";
     Pmem.atomic_write8_int t.pmem ~off:(g.base + g.epoch_off) (epoch + 1);
-    lines := lines_of_range ~off:(g.base + g.epoch_off) ~len:8 @ !lines;
+    lines := List.rev_append (lines_of_range ~off:(g.base + g.epoch_off) ~len:8) !lines;
     live := !staged @ !live;
     List.iter
       (fun (_, e) -> flight_note t s ~a:0 ~b:e.e_blkno Flight.Recovery_decision)
@@ -892,7 +892,7 @@ let recover_shard t ~shard_id ~roll_forward =
            Pmem.atomic_write16 t.pmem ~off:(entry_off g slot) (Bytes.make entry_size '\000');
            s.swings <- s.swings + 1
          end);
-        lines := lines_of_range ~off:(entry_off g slot) ~len:entry_size @ !lines;
+        lines := List.rev_append (lines_of_range ~off:(entry_off g slot) ~len:entry_size) !lines;
         flight_note t s ~a:1 ~b:e.e_blkno Flight.Recovery_decision;
         if e.e_has_old then live := (slot, { e with e_has_old = false; e_frame_a = 0; e_frame_b = e.e_frame_a; e_epoch = epoch }) :: !live)
       !staged;

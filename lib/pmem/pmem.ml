@@ -4,8 +4,6 @@ exception Crash_point
 
 let line_size = 64
 
-type line = { backup : Bytes.t; mutable pending : bool }
-
 type event =
   | Store of { off : int; len : int }
   | Atomic_write of { off : int; len : int }
@@ -13,9 +11,31 @@ type event =
   | Sfence
   | Crash
 
+(* The volatile line layer is flat so that, once its buffers are warm,
+   dirtying, flushing and fencing a line allocates nothing:
+
+   - [state] holds one 32-bit word per line: 0 = clean, [pos + 1] =
+     dirty, [-(pos + 1)] = flush-pending, where [pos] is the line's
+     position in the dirty-line stack;
+   - [dirty] is that stack: the non-durable lines in the order they were
+     dirtied ([sfence] compacts it in place, keeping that order);
+   - [arena] holds each dirty line's rollback content (its last durable
+     64 B) at slot [pos], moving with the line when the stack compacts.
+
+   [buckets] mirrors the bucket count of the [(int, line) Hashtbl.t] this
+   layer replaced (created at 4096, doubled when the dirty count exceeds
+   twice the bucket count, back to 4096 on [crash]/[crash_select]/
+   [restore]) so that {!draw_order} can replay that table's fold order. *)
+let initial_buckets = 4096
+let initial_capacity = 64
+
 type t = {
   media : Bytes.t;
-  lines : (int, line) Hashtbl.t;
+  state : Bytes.t;
+  mutable dirty : int array;
+  mutable arena : Bytes.t;
+  mutable ndirty : int;
+  mutable buckets : int;
   clock : Clock.t;
   metrics : Metrics.t;
   tech : Latency.nvm_tech;
@@ -23,7 +43,7 @@ type t = {
   lat : Latency.nvm;
   rng : Tinca_util.Rng.t;
   wear : int array;
-  mutable countdown : int option;
+  mutable countdown : int; (* 0 = disarmed *)
   mutable events : int;
   mutable observer : (event -> unit) option;
   mutable site : string;
@@ -32,17 +52,22 @@ type t = {
 let create ?(seed = 42) ?(flush_instr = Latency.Clflush) ~clock ~metrics ~tech ~size () =
   if size <= 0 || size mod line_size <> 0 then
     invalid_arg "Pmem.create: size must be a positive multiple of 64";
+  let nlines = size / line_size in
   {
     media = Bytes.make size '\000';
-    lines = Hashtbl.create 4096;
+    state = Bytes.make (4 * nlines) '\000';
+    dirty = Array.make initial_capacity 0;
+    arena = Bytes.create (initial_capacity * line_size);
+    ndirty = 0;
+    buckets = initial_buckets;
     clock;
     metrics;
     tech;
     flush_instr;
     lat = Latency.nvm_of_tech ~flush_instr tech;
     rng = Tinca_util.Rng.create seed;
-    wear = Array.make (size / line_size) 0;
-    countdown = None;
+    wear = Array.make nlines 0;
+    countdown = 0;
     events = 0;
     observer = None;
     site = "";
@@ -60,9 +85,8 @@ let site t = t.site
 
 let event t =
   t.events <- t.events + 1;
-  match t.countdown with
-  | None -> ()
-  | Some k -> if k <= 1 then raise Crash_point else t.countdown <- Some (k - 1)
+  if t.countdown > 0 then
+    if t.countdown <= 1 then raise Crash_point else t.countdown <- t.countdown - 1
 
 let check_range t off len =
   if off < 0 || len < 0 || off + len > Bytes.length t.media then
@@ -70,51 +94,97 @@ let check_range t off len =
       (Printf.sprintf "Pmem: range [%d, %d) out of bounds (size %d)" off (off + len)
          (Bytes.length t.media))
 
-(* Make sure the line exists in the volatile layer before mutating it,
-   snapshotting the currently-durable content as rollback state.  A store
-   into a flush-pending line resolves the in-flight write-back
+let line_state t idx = Int32.to_int (Bytes.get_int32_le t.state (4 * idx))
+let set_line_state t idx s = Bytes.set_int32_le t.state (4 * idx) (Int32.of_int s)
+
+(* Append a clean line to the dirty stack, with the 64 B of [src] at
+   [src_off] as its rollback content. *)
+let push_dirty t idx src src_off =
+  let pos = t.ndirty in
+  if pos = Array.length t.dirty then begin
+    let dirty = Array.make (2 * pos) 0 and arena = Bytes.create (2 * pos * line_size) in
+    Array.blit t.dirty 0 dirty 0 pos;
+    Bytes.blit t.arena 0 arena 0 (pos * line_size);
+    t.dirty <- dirty;
+    t.arena <- arena
+  end;
+  t.dirty.(pos) <- idx;
+  Bytes.blit src src_off t.arena (pos * line_size) line_size;
+  set_line_state t idx (pos + 1);
+  t.ndirty <- pos + 1;
+  if t.ndirty > 2 * t.buckets then t.buckets <- 2 * t.buckets
+
+(* Make sure the line is in the volatile layer before mutating it,
+   snapshotting the currently-durable content as rollback state.  A
+   store into a flush-pending line resolves the in-flight write-back
    adversarially: it may or may not have reached the medium. *)
 let dirty_line t idx =
-  match Hashtbl.find_opt t.lines idx with
-  | Some line ->
-      if line.pending then begin
-        if Tinca_util.Rng.bool t.rng then
-          Bytes.blit t.media (idx * line_size) line.backup 0 line_size;
-        line.pending <- false
-      end
-  | None ->
-      let backup = Bytes.create line_size in
-      Bytes.blit t.media (idx * line_size) backup 0 line_size;
-      Hashtbl.add t.lines idx { backup; pending = false }
+  let s = line_state t idx in
+  if s = 0 then push_dirty t idx t.media (idx * line_size)
+  else if s < 0 then begin
+    if Tinca_util.Rng.bool t.rng then
+      Bytes.blit t.media (idx * line_size) t.arena ((-s - 1) * line_size) line_size;
+    set_line_state t idx (-s)
+  end
 
-let lines_of_range off len =
-  let first = off / line_size in
-  let last = (off + len - 1) / line_size in
-  (first, last)
+(* Start the write-back of [idx]; true when the line was dirty (a clean
+   or already flush-pending line makes the flush a no-op). *)
+let flush_line t idx =
+  let s = line_state t idx in
+  if s > 0 then set_line_state t idx (-s);
+  s > 0
+
+(* Empty the volatile layer without touching the medium. *)
+let clear_lines t =
+  for pos = 0 to t.ndirty - 1 do
+    set_line_state t t.dirty.(pos) 0
+  done;
+  t.ndirty <- 0;
+  t.buckets <- initial_buckets
+
+(* Dirty-stack positions in the order the replaced hashtable's [fold]
+   listed its lines: bucket [Hashtbl.hash idx land (buckets - 1)]
+   descending, oldest-dirtied first within a bucket.  [crash] draws
+   survival per line in this order, so keeping it keeps every seeded
+   crash outcome — and with it the simulated results — bit-identical to
+   those of the hashtable layer.  Each sort key packs the reversed bucket
+   above the position, which fits in 31 bits. *)
+let draw_order t =
+  let mask = t.buckets - 1 in
+  let keys =
+    Array.init t.ndirty (fun pos ->
+        ((mask - (Hashtbl.hash t.dirty.(pos) land mask)) lsl 31) lor pos)
+  in
+  Array.sort Int.compare keys;
+  Array.map (fun k -> k land 0x7fff_ffff) keys
+
+let first_line off = off / line_size
+let last_line off len = (off + len - 1) / line_size
 
 (* Every hardware event fans out to the attached observer (the
    persistence sanitizer keeps sole ownership of [set_observer]) and,
-   when span tracing is on, to the tracer as per-span counters.
-   Write-back attribution is noted separately at the flush sites, where
-   the dirty-line count is known. *)
+   when span tracing is on, to the tracer as per-span counters.  Callers
+   build the event only when [observed], so an unobserved device
+   allocates nothing for it.  Write-back attribution is noted separately
+   at the flush sites, where the dirty-line count is known. *)
+let observed t = Option.is_some t.observer || Tinca_obs.Trace.enabled ()
+
 let emit t ev =
   (match t.observer with Some f -> f ev | None -> ());
   if Tinca_obs.Trace.enabled () then
     match ev with
     | Store { off; len } ->
-        let first, last = lines_of_range off len in
-        Tinca_obs.Trace.note "pmem.store_lines" ~by:(last - first + 1)
+        Tinca_obs.Trace.note "pmem.store_lines" ~by:(last_line off len - first_line off + 1)
     | Atomic_write _ -> Tinca_obs.Trace.note "pmem.atomic_writes" ~by:1
     | Clflush { off; len } ->
-        let first, last = lines_of_range off len in
-        Tinca_obs.Trace.note "pmem.clflush" ~by:(last - first + 1)
+        Tinca_obs.Trace.note "pmem.clflush" ~by:(last_line off len - first_line off + 1)
     | Sfence -> Tinca_obs.Trace.note "pmem.sfence" ~by:1
     | Crash -> ()
 
 let store_range t off len =
   event t;
   if len > 0 then begin
-    let first, last = lines_of_range off len in
+    let first = first_line off and last = last_line off len in
     for idx = first to last do
       dirty_line t idx
     done;
@@ -130,7 +200,7 @@ let write_sub t ~off src ~pos ~len =
     invalid_arg "Pmem.write_sub: bad source range";
   store_range t off len;
   Bytes.blit src pos t.media off len;
-  if len > 0 then emit t (Store { off; len })
+  if len > 0 && observed t then emit t (Store { off; len })
 
 let write t ~off src = write_sub t ~off src ~pos:0 ~len:(Bytes.length src)
 
@@ -144,7 +214,7 @@ let fill t ~off ~len c =
   check_range t off len;
   store_range t off len;
   Bytes.fill t.media off len c;
-  if len > 0 then emit t (Store { off; len })
+  if len > 0 && observed t then emit t (Store { off; len })
 
 let atomic_write8 t ~off v =
   check_range t off 8;
@@ -152,7 +222,7 @@ let atomic_write8 t ~off v =
   store_range t off 8;
   Metrics.incr t.metrics "pmem.atomic_writes" ~by:1;
   Bytes.set_int64_le t.media off v;
-  emit t (Atomic_write { off; len = 8 })
+  if observed t then emit t (Atomic_write { off; len = 8 })
 
 let atomic_write8_int t ~off v =
   if v < 0 then invalid_arg "Pmem.atomic_write8_int: negative value";
@@ -165,12 +235,11 @@ let atomic_write16 t ~off v =
   store_range t off 16;
   Metrics.incr t.metrics "pmem.atomic_writes" ~by:1;
   Bytes.blit v 0 t.media off 16;
-  emit t (Atomic_write { off; len = 16 })
+  if observed t then emit t (Atomic_write { off; len = 16 })
 
 let charge_read t off len =
   if len > 0 then begin
-    let first, last = lines_of_range off len in
-    let nlines = last - first + 1 in
+    let nlines = last_line off len - first_line off + 1 in
     Clock.advance t.clock (t.lat.read_ns *. float_of_int nlines);
     Metrics.incr t.metrics "pmem.read_lines" ~by:nlines
   end
@@ -207,20 +276,14 @@ let clflush t ~off ~len =
   check_range t off len;
   event t;
   if len > 0 then begin
-    let first, last = lines_of_range off len in
+    let first = first_line off and last = last_line off len in
     (* A flush of a clean (or already flush-pending) line is issued but
        initiates no medium write-back, so it must not be charged the
        medium's write latency — only the dirty lines whose write-back
        this flush actually starts pay [write_ns]. *)
     let dirtied = ref 0 in
     for idx = first to last do
-      match Hashtbl.find_opt t.lines idx with
-      | Some line ->
-          if not line.pending then begin
-            line.pending <- true;
-            incr dirtied
-          end
-      | None -> () (* clean line: the flush is issued but is a no-op *)
+      if flush_line t idx then incr dirtied
     done;
     let nlines = last - first + 1 in
     Metrics.incr t.metrics "pmem.clflush" ~by:nlines;
@@ -231,7 +294,7 @@ let clflush t ~off ~len =
       (Latency.flush_batch_ns t.flush_instr nlines
       +. (t.lat.write_ns *. float_of_int !dirtied));
     if !dirtied > 0 then Tinca_obs.Trace.note "pmem.clflush_writebacks" ~by:!dirtied;
-    emit t (Clflush { off; len })
+    if observed t then emit t (Clflush { off; len })
   end
 
 (* Scatter-gather flush: one back-to-back burst of per-line flushes over
@@ -240,27 +303,24 @@ let clflush t ~off ~len =
    instruction — its own crash-countdown event and observer event — but
    the burst is charged with the pipelined batch cost. *)
 let flush_lines t lines =
-  let lines = List.sort_uniq compare lines in
+  let lines = Array.of_list lines in
+  Array.sort Int.compare lines;
   let total = Bytes.length t.media / line_size in
-  List.iter
+  Array.iter
     (fun idx ->
       if idx < 0 || idx >= total then
         invalid_arg (Printf.sprintf "Pmem.flush_lines: line %d out of bounds (device has %d)" idx total))
     lines;
   let dirtied = ref 0 and issued = ref 0 in
-  List.iter
-    (fun idx ->
+  for i = 0 to Array.length lines - 1 do
+    let idx = lines.(i) in
+    if i = 0 || idx <> lines.(i - 1) then begin
       event t;
       incr issued;
-      (match Hashtbl.find_opt t.lines idx with
-      | Some line ->
-          if not line.pending then begin
-            line.pending <- true;
-            incr dirtied
-          end
-      | None -> () (* clean line: the flush is issued but is a no-op *));
-      emit t (Clflush { off = idx * line_size; len = line_size }))
-    lines;
+      if flush_line t idx then incr dirtied;
+      if observed t then emit t (Clflush { off = idx * line_size; len = line_size })
+    end
+  done;
   if !issued > 0 then begin
     Metrics.incr t.metrics "pmem.clflush" ~by:!issued;
     Metrics.incr t.metrics "pmem.clflush_writebacks" ~by:!dirtied;
@@ -270,72 +330,97 @@ let flush_lines t lines =
     if !dirtied > 0 then Tinca_obs.Trace.note "pmem.clflush_writebacks" ~by:!dirtied
   end
 
+(* Drain the dirty stack: flush-pending lines reach the medium and leave
+   it, the rest slide down in order (their backups with them). *)
 let sfence t =
   event t;
   Metrics.incr t.metrics "pmem.sfence" ~by:1;
   Clock.advance t.clock t.lat.sfence_ns;
-  let persisted = ref [] in
-  Hashtbl.iter (fun idx line -> if line.pending then persisted := idx :: !persisted) t.lines;
-  List.iter
-    (fun idx ->
-      Hashtbl.remove t.lines idx;
-      t.wear.(idx) <- t.wear.(idx) + 1;
-      Metrics.incr t.metrics "pmem.lines_persisted" ~by:1)
-    !persisted;
+  let kept = ref 0 in
+  for pos = 0 to t.ndirty - 1 do
+    let idx = t.dirty.(pos) in
+    if line_state t idx < 0 then begin
+      set_line_state t idx 0;
+      t.wear.(idx) <- t.wear.(idx) + 1
+    end
+    else begin
+      let k = !kept in
+      if k <> pos then begin
+        t.dirty.(k) <- idx;
+        Bytes.blit t.arena (pos * line_size) t.arena (k * line_size) line_size;
+        set_line_state t idx (k + 1)
+      end;
+      kept := k + 1
+    end
+  done;
+  let persisted = t.ndirty - !kept in
+  t.ndirty <- !kept;
+  if persisted > 0 then Metrics.incr t.metrics "pmem.lines_persisted" ~by:persisted;
   emit t Sfence
 
 let persist t ~off ~len =
   clflush t ~off ~len;
   sfence t
 
+(* Resolve power loss line by line in {!draw_order}: a surviving line's
+   newest content reached the medium, a lost one reverts to its backup.
+   Leaves the device quiescent. *)
+let resolve t ~survive =
+  Array.iter
+    (fun pos ->
+      let idx = t.dirty.(pos) in
+      if survive idx then t.wear.(idx) <- t.wear.(idx) + 1
+      else Bytes.blit t.arena (pos * line_size) t.media (idx * line_size) line_size)
+    (draw_order t);
+  clear_lines t;
+  t.countdown <- 0;
+  emit t Crash
+
 let crash ?seed ?(survival = 0.5) t =
   let rng = match seed with Some s -> Tinca_util.Rng.create s | None -> t.rng in
-  let entries = Hashtbl.fold (fun idx line acc -> (idx, line) :: acc) t.lines [] in
-  List.iter
-    (fun (idx, line) ->
-      if Tinca_util.Rng.chance rng survival then begin
-        (* The line's newest content reached the medium before power loss. *)
-        t.wear.(idx) <- t.wear.(idx) + 1
-      end
-      else Bytes.blit line.backup 0 t.media (idx * line_size) line_size)
-    entries;
-  Hashtbl.reset t.lines;
-  t.countdown <- None;
-  emit t Crash
+  resolve t ~survive:(fun _ -> Tinca_util.Rng.chance rng survival)
 
 (* --- crash-space exploration hooks (lib/check) ------------------------- *)
 
 (* Cache lines dirtied since the last fence, ascending.  At a crash each
    of these may independently reach the medium or be lost, so they span
    the survival-subset space the model checker enumerates. *)
-let unfenced_lines t =
-  List.sort compare (Hashtbl.fold (fun idx _ acc -> idx :: acc) t.lines [])
+let unfenced_lines t = List.sort Int.compare (Array.to_list (Array.sub t.dirty 0 t.ndirty))
+
+let in_device t idx = idx >= 0 && idx < Array.length t.wear
 
 (* Whether losing/keeping [idx] changes the medium: a line whose volatile
-   content equals its durable backup is unaffected by the crash outcome. *)
+   content equals its durable backup is unaffected by the crash outcome.
+   Compared in place, 8 bytes at a time. *)
 let line_torn t idx =
-  match Hashtbl.find_opt t.lines idx with
-  | None -> false
-  | Some line ->
-      not (Bytes.equal line.backup (Bytes.sub t.media (idx * line_size) line_size))
+  in_device t idx
+  &&
+  let s = line_state t idx in
+  s <> 0
+  &&
+  let backup = (abs s - 1) * line_size and cur = idx * line_size in
+  let i = ref 0 in
+  while
+    !i < line_size
+    && Int64.equal (Bytes.get_int64_le t.arena (backup + !i)) (Bytes.get_int64_le t.media (cur + !i))
+  do
+    i := !i + 8
+  done;
+  !i < line_size
 
 (* Resolve a crash with an explicit survival verdict per unfenced line
    ([survive idx] = the line's newest content reached the medium), instead
    of [crash]'s random sampling.  Leaves the device quiescent. *)
-let crash_select t ~survive =
-  let entries = Hashtbl.fold (fun idx line acc -> (idx, line) :: acc) t.lines [] in
-  List.iter
-    (fun (idx, line) ->
-      if survive idx then t.wear.(idx) <- t.wear.(idx) + 1
-      else Bytes.blit line.backup 0 t.media (idx * line_size) line_size)
-    entries;
-  Hashtbl.reset t.lines;
-  t.countdown <- None;
-  emit t Crash
+let crash_select t ~survive = resolve t ~survive
 
+(* Lines in {!draw_order} with their backups and flush-pending flags;
+   [restore] re-dirties them in that order, as the hashtable layer did,
+   so the restored layer draws the same crash order as the original. *)
 type snapshot = {
   snap_media : Bytes.t;
-  snap_lines : (int * Bytes.t * bool) list; (* line idx, backup, pending *)
+  snap_lines : int array;
+  snap_pending : bool array;
+  snap_backups : Bytes.t;
   snap_wear : int array;
 }
 
@@ -344,10 +429,16 @@ type snapshot = {
    survival subset without replaying the workload.  [restore] disarms any
    crash countdown; simulated time and metrics are left untouched. *)
 let snapshot t =
+  let order = draw_order t in
+  let backups = Bytes.create (Array.length order * line_size) in
+  Array.iteri
+    (fun i pos -> Bytes.blit t.arena (pos * line_size) backups (i * line_size) line_size)
+    order;
   {
     snap_media = Bytes.copy t.media;
-    snap_lines =
-      Hashtbl.fold (fun idx l acc -> (idx, Bytes.copy l.backup, l.pending) :: acc) t.lines [];
+    snap_lines = Array.map (fun pos -> t.dirty.(pos)) order;
+    snap_pending = Array.map (fun pos -> line_state t t.dirty.(pos) < 0) order;
+    snap_backups = backups;
     snap_wear = Array.copy t.wear;
   }
 
@@ -355,26 +446,27 @@ let restore t s =
   if Bytes.length s.snap_media <> Bytes.length t.media then
     invalid_arg "Pmem.restore: snapshot from a different-sized device";
   Bytes.blit s.snap_media 0 t.media 0 (Bytes.length t.media);
-  Hashtbl.reset t.lines;
-  List.iter
-    (fun (idx, backup, pending) ->
-      Hashtbl.add t.lines idx { backup = Bytes.copy backup; pending })
+  clear_lines t;
+  Array.iteri
+    (fun i idx ->
+      push_dirty t idx s.snap_backups (i * line_size);
+      if s.snap_pending.(i) then ignore (flush_line t idx : bool))
     s.snap_lines;
   Array.blit s.snap_wear 0 t.wear 0 (Array.length t.wear);
-  t.countdown <- None
+  t.countdown <- 0
 
 (* Digest of the durable medium, for deduplicating post-crash images. *)
 let media_digest t = Digest.bytes t.media
 
 let set_crash_countdown t c =
-  (match c with
+  match c with
   | Some k when k < 1 -> invalid_arg "Pmem.set_crash_countdown: k must be >= 1"
-  | _ -> ());
-  t.countdown <- c
+  | Some k -> t.countdown <- k
+  | None -> t.countdown <- 0
 
 let event_count t = t.events
-let dirty_line_count t = Hashtbl.length t.lines
-let is_dirty t ~off = Hashtbl.mem t.lines (off / line_size)
+let dirty_line_count t = t.ndirty
+let is_dirty t ~off = in_device t (off / line_size) && line_state t (off / line_size) <> 0
 let wear_total t = Array.fold_left ( + ) 0 t.wear
 let wear_max t = Array.fold_left max 0 t.wear
 

@@ -127,7 +127,9 @@ val persist : t -> off:int -> len:int -> unit
     flush-pending line independently survives (its newest content reaches
     the medium) with probability [survival] (default 0.5) or reverts to
     its last persisted content; then the volatile layer is emptied.
-    [seed] overrides the internal RNG for reproducible outcomes. *)
+    [seed] overrides the internal RNG for reproducible outcomes: lines
+    draw in a fixed order (DESIGN.md §6), so a seed resolves a given
+    device state the same way every time. *)
 val crash : ?seed:int -> ?survival:float -> t -> unit
 
 (** [set_crash_countdown t (Some k)] raises {!Crash_point} out of the

@@ -344,6 +344,352 @@ let prop_crash_no_invention =
       let c = Bytes.get (Pmem.read p ~off:(line * 64) ~len:1) 0 in
       c = Char.chr v1 || c = Char.chr v2)
 
+(* --- differential test against the hashtable line layer ---------------- *)
+
+(* Reference model of the line layer as first written: an
+   [(int, line) Hashtbl.t] of the non-durable lines, each with its
+   rollback copy.  [Pmem] must stay indistinguishable from it — media,
+   wear, clock and counters, and also the order [crash] draws survival
+   in, which is this table's [fold] order. *)
+module Ref_pmem = struct
+  type line = { backup : Bytes.t; mutable pending : bool }
+
+  type t = {
+    media : Bytes.t;
+    lines : (int, line) Hashtbl.t;
+    wear : int array;
+    clock : Clock.t;
+    metrics : Metrics.t;
+    lat : Latency.nvm;
+    rng : Tinca_util.Rng.t;
+    mutable countdown : int option;
+  }
+
+  let create ~seed ~size =
+    {
+      media = Bytes.make size '\000';
+      lines = Hashtbl.create 4096;
+      wear = Array.make (size / 64) 0;
+      clock = Clock.create ();
+      metrics = Metrics.create ();
+      lat = Latency.nvm_of_tech ~flush_instr:Latency.Clflush Latency.Pcm;
+      rng = Tinca_util.Rng.create seed;
+      countdown = None;
+    }
+
+  let event t =
+    match t.countdown with
+    | None -> ()
+    | Some k -> if k <= 1 then raise Pmem.Crash_point else t.countdown <- Some (k - 1)
+
+  (* One store of [len] bytes at [off]; [blit] then changes the medium. *)
+  let store ?(atomic = false) t ~off ~len blit =
+    event t;
+    if len > 0 then begin
+      let first = off / 64 and last = (off + len - 1) / 64 in
+      for idx = first to last do
+        match Hashtbl.find_opt t.lines idx with
+        | Some l ->
+            if l.pending then begin
+              if Tinca_util.Rng.bool t.rng then Bytes.blit t.media (idx * 64) l.backup 0 64;
+              l.pending <- false
+            end
+        | None -> Hashtbl.add t.lines idx { backup = Bytes.sub t.media (idx * 64) 64; pending = false }
+      done;
+      Clock.advance t.clock (t.lat.store_ns *. float_of_int (last - first + 1));
+      Metrics.incr t.metrics "pmem.stores" ~by:1;
+      Metrics.incr t.metrics "pmem.store_lines" ~by:(last - first + 1)
+    end;
+    if atomic then Metrics.incr t.metrics "pmem.atomic_writes" ~by:1;
+    blit t.media
+
+  let mark t dirtied idx =
+    match Hashtbl.find_opt t.lines idx with
+    | Some l when not l.pending ->
+        l.pending <- true;
+        incr dirtied
+    | _ -> ()
+
+  let charge t ~issued ~dirtied =
+    Metrics.incr t.metrics "pmem.clflush" ~by:issued;
+    Metrics.incr t.metrics "pmem.clflush_writebacks" ~by:dirtied;
+    Clock.advance t.clock
+      (Latency.flush_batch_ns Latency.Clflush issued +. (t.lat.write_ns *. float_of_int dirtied))
+
+  let clflush t ~off ~len =
+    event t;
+    if len > 0 then begin
+      let first = off / 64 and last = (off + len - 1) / 64 and dirtied = ref 0 in
+      for idx = first to last do
+        mark t dirtied idx
+      done;
+      charge t ~issued:(last - first + 1) ~dirtied:!dirtied
+    end
+
+  let flush_lines t lines =
+    let lines = List.sort_uniq compare lines and dirtied = ref 0 in
+    List.iter
+      (fun idx ->
+        event t;
+        mark t dirtied idx)
+      lines;
+    if lines <> [] then charge t ~issued:(List.length lines) ~dirtied:!dirtied
+
+  let sfence t =
+    event t;
+    Metrics.incr t.metrics "pmem.sfence" ~by:1;
+    Clock.advance t.clock t.lat.sfence_ns;
+    Hashtbl.fold (fun idx l acc -> if l.pending then idx :: acc else acc) t.lines []
+    |> List.iter (fun idx ->
+           Hashtbl.remove t.lines idx;
+           t.wear.(idx) <- t.wear.(idx) + 1;
+           Metrics.incr t.metrics "pmem.lines_persisted" ~by:1)
+
+  let crash_select t ~survive =
+    Hashtbl.fold (fun idx l acc -> (idx, l) :: acc) t.lines []
+    |> List.iter (fun (idx, l) ->
+           if survive idx then t.wear.(idx) <- t.wear.(idx) + 1
+           else Bytes.blit l.backup 0 t.media (idx * 64) 64);
+    Hashtbl.reset t.lines;
+    t.countdown <- None
+
+  let crash ?seed t =
+    let rng = match seed with Some s -> Tinca_util.Rng.create s | None -> t.rng in
+    crash_select t ~survive:(fun _ -> Tinca_util.Rng.chance rng 0.5)
+
+  let snapshot t =
+    ( Bytes.copy t.media,
+      Hashtbl.fold (fun idx l acc -> (idx, Bytes.copy l.backup, l.pending) :: acc) t.lines [],
+      Array.copy t.wear )
+
+  let restore t (media, lines, wear) =
+    Bytes.blit media 0 t.media 0 (Bytes.length media);
+    Hashtbl.reset t.lines;
+    List.iter (fun (idx, b, pending) -> Hashtbl.add t.lines idx { backup = Bytes.copy b; pending }) lines;
+    Array.blit wear 0 t.wear 0 (Array.length wear);
+    t.countdown <- None
+
+  let unfenced t = List.sort compare (Hashtbl.fold (fun idx _ acc -> idx :: acc) t.lines [])
+
+  let torn t idx =
+    match Hashtbl.find_opt t.lines idx with
+    | None -> false
+    | Some l -> not (Bytes.equal l.backup (Bytes.sub t.media (idx * 64) 64))
+end
+
+(* Run one operation on both sides; they must agree on whether the armed
+   crash countdown fired. *)
+let both what f_ref f_real =
+  let fired f = try f (); false with Pmem.Crash_point -> true in
+  let r = fired f_ref in
+  Alcotest.(check bool) (what ^ ": same crash point") r (fired f_real)
+
+let check_same what (m : Ref_pmem.t) p clock metrics =
+  let lines = Bytes.length m.media / 64 in
+  let unfenced = Ref_pmem.unfenced m in
+  Alcotest.(check bool) (what ^ ": media") true (Digest.equal (Digest.bytes m.media) (Pmem.media_digest p));
+  Alcotest.(check (array int)) (what ^ ": wear") m.wear
+    (Array.init lines (fun i -> Pmem.wear_sum_in p ~off:(i * 64) ~len:64));
+  Alcotest.(check (list int)) (what ^ ": unfenced_lines") unfenced (Pmem.unfenced_lines p);
+  Alcotest.(check (list bool)) (what ^ ": line_torn")
+    (List.map (Ref_pmem.torn m) (0 :: unfenced))
+    (List.map (Pmem.line_torn p) (0 :: unfenced));
+  Alcotest.(check int) (what ^ ": dirty_line_count") (Hashtbl.length m.lines) (Pmem.dirty_line_count p);
+  Alcotest.(check bool) (what ^ ": sim clock") true
+    (Float.equal (Clock.now_ns m.clock) (Clock.now_ns clock));
+  Alcotest.(check (list (pair string int))) (what ^ ": metrics") (Metrics.to_list m.metrics)
+    (Metrics.to_list metrics)
+
+(* Resolve a crash on both sides with the same verdicts, recording the
+   order each side asks for them in. *)
+let crash_select_both m p ~survive =
+  let asked_ref = ref [] and asked = ref [] in
+  Ref_pmem.crash_select m ~survive:(fun idx -> asked_ref := idx :: !asked_ref; survive idx);
+  Pmem.crash_select p ~survive:(fun idx -> asked := idx :: !asked; survive idx);
+  Alcotest.(check (list int)) "crash_select draw order" (List.rev !asked_ref) (List.rev !asked)
+
+let random_step g (m : Ref_pmem.t) p snaps =
+  let int n = Tinca_util.Rng.int g n in
+  let size = Bytes.length m.media and lines = Bytes.length m.media / 64 in
+  let range max_len =
+    let len = int (max_len + 1) in
+    let off = int (size - len + 1) in
+    (off, len)
+  in
+  (* Three letters only, so rewrites often leave a line's content as it was. *)
+  let data len = Bytes.init len (fun _ -> Char.chr (97 + int 3)) in
+  match int 100 with
+  | r when r < 25 ->
+      let off, len = range 200 in
+      let b = data len in
+      both "write" (fun () -> Ref_pmem.store m ~off ~len (fun d -> Bytes.blit b 0 d off len))
+        (fun () -> Pmem.write p ~off b)
+  | r when r < 30 ->
+      let off, len = range 100 in
+      let b = data (len + 7) in
+      both "write_sub" (fun () -> Ref_pmem.store m ~off ~len (fun d -> Bytes.blit b 7 d off len))
+        (fun () -> Pmem.write_sub p ~off b ~pos:7 ~len)
+  | r when r < 35 ->
+      let off, len = range 300 in
+      both "fill" (fun () -> Ref_pmem.store m ~off ~len (fun d -> Bytes.fill d off len 'b'))
+        (fun () -> Pmem.fill p ~off ~len 'b')
+  | r when r < 40 ->
+      (* Store back what is there: dirty, but not torn. *)
+      let off, len = range 200 in
+      let b = Bytes.sub m.media off len in
+      both "rewrite" (fun () -> Ref_pmem.store m ~off ~len (fun d -> Bytes.blit b 0 d off len))
+        (fun () -> Pmem.write p ~off b)
+  | r when r < 45 ->
+      let off = 8 * int (size / 8) and v = Int64.of_int (int 4) in
+      both "atomic_write8"
+        (fun () -> Ref_pmem.store ~atomic:true m ~off ~len:8 (fun d -> Bytes.set_int64_le d off v))
+        (fun () -> Pmem.atomic_write8 p ~off v)
+  | r when r < 48 ->
+      let off = 16 * int (size / 16) and b = data 16 in
+      both "atomic_write16"
+        (fun () -> Ref_pmem.store ~atomic:true m ~off ~len:16 (fun d -> Bytes.blit b 0 d off 16))
+        (fun () -> Pmem.atomic_write16 p ~off b)
+  | r when r < 58 ->
+      let off, len = range 300 in
+      both "clflush" (fun () -> Ref_pmem.clflush m ~off ~len) (fun () -> Pmem.clflush p ~off ~len)
+  | r when r < 66 ->
+      (* Unsorted, with duplicates. *)
+      let l = List.init (int 13) (fun _ -> int lines) in
+      let l = l @ List.filteri (fun i _ -> i mod 2 = 0) l in
+      both "flush_lines" (fun () -> Ref_pmem.flush_lines m l) (fun () -> Pmem.flush_lines p l)
+  | r when r < 78 -> both "sfence" (fun () -> Ref_pmem.sfence m) (fun () -> Pmem.sfence p)
+  | r when r < 81 ->
+      let seed = int 1000 in
+      Ref_pmem.crash ~seed m;
+      Pmem.crash ~seed p
+  | 81 ->
+      Ref_pmem.crash m;
+      Pmem.crash p
+  | r when r < 86 ->
+      let k = 1 + int 3 in
+      crash_select_both m p ~survive:(fun idx -> idx mod k = 0)
+  | r when r < 89 -> snaps := Some (Ref_pmem.snapshot m, Pmem.snapshot p)
+  | r when r < 92 -> (
+      match !snaps with
+      | Some (sm, sp) ->
+          Ref_pmem.restore m sm;
+          Pmem.restore p sp
+      | None -> ())
+  | r when r < 96 ->
+      let k = 1 + int 6 in
+      m.countdown <- Some k;
+      Pmem.set_crash_countdown p (Some k)
+  | _ ->
+      m.countdown <- None;
+      Pmem.set_crash_countdown p None
+
+let test_differential_random () =
+  List.iter
+    (fun seed ->
+      let p, clock, metrics = mk ~size:(96 * 64) ~seed () in
+      let m = Ref_pmem.create ~seed ~size:(96 * 64) in
+      let g = Tinca_util.Rng.create (1000 + seed) and snaps = ref None in
+      for step = 1 to 600 do
+        random_step g m p snaps;
+        check_same (Printf.sprintf "seed %d step %d" seed step) m p clock metrics
+      done)
+    [ 1; 2; 3; 4; 5 ]
+
+(* More than 8192 lines dirty at once: the hashtable grew its bucket array
+   twice, which reorders its fold, so seeded crashes, snapshots and
+   restores must follow the grown order — and the shrunk one after a
+   crash or restore resets the table. *)
+let test_differential_large () =
+  let nlines = 20_000 in
+  let size = nlines * 64 in
+  let p, clock, metrics = mk ~size ~seed:7 () in
+  let m = Ref_pmem.create ~seed:7 ~size in
+  let check what = check_same what m p clock metrics in
+  let store off b =
+    Ref_pmem.store m ~off ~len:(Bytes.length b) (fun d -> Bytes.blit b 0 d off (Bytes.length b));
+    Pmem.write p ~off b
+  in
+  let g = Tinca_util.Rng.create 99 in
+  let order = Array.init nlines Fun.id in
+  Tinca_util.Rng.shuffle g order;
+  (* Dirty 17,000 lines one at a time in a scrambled order, then persist
+     a scattered third of them so the rest keep the grown table. *)
+  Array.iteri (fun i idx -> if i < 17_000 then store (idx * 64) (Bytes.make 8 (Char.chr (97 + (i mod 26))))) order;
+  check "17000 dirty";
+  let third = List.filteri (fun i _ -> i mod 3 = 0) (Array.to_list (Array.sub order 0 17_000)) in
+  Ref_pmem.flush_lines m third;
+  Pmem.flush_lines p third;
+  Ref_pmem.sfence m;
+  Pmem.sfence p;
+  store 0 (Bytes.make 4096 'z');
+  check "after partial fence";
+  let snap_ref = Ref_pmem.snapshot m and snap = Pmem.snapshot p in
+  Ref_pmem.crash ~seed:11 m;
+  Pmem.crash ~seed:11 p;
+  check "seeded crash over the grown table";
+  Ref_pmem.restore m snap_ref;
+  Pmem.restore p snap;
+  check "restore";
+  crash_select_both m p ~survive:(fun idx -> idx mod 2 = 0);
+  check "crash_select after restore";
+  Ref_pmem.restore m snap_ref;
+  Pmem.restore p snap;
+  Ref_pmem.crash m;
+  Pmem.crash p;
+  check "unseeded crash after restore"
+
+(* --- allocation pin ------------------------------------------------------ *)
+
+(* Unobserved and untraced, a warm device allocates nothing per line: each
+   primitive costs the same minor words over 1 line as over 64, and a
+   scatter-gather flush at most 8 words per line. *)
+let test_line_layer_allocation () =
+  Tinca_obs.Trace.disable ();
+  let p, _, _ = mk ~size:(256 * 64) () in
+  let one = Bytes.make 64 'a' and big = Bytes.make (64 * 64) 'b' and v16 = Bytes.make 16 'c' in
+  let at = 128 * 64 in
+  let words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    int_of_float (Gc.minor_words () -. w0)
+  in
+  let clean () = Pmem.persist p ~off:0 ~len:(Pmem.size p) in
+  let dirty n = Pmem.write_sub p ~off:at big ~pos:0 ~len:(n * 64) in
+  (* Warm up: grow the dirty stack past 64 + 1 lines, register every counter. *)
+  Pmem.write p ~off:0 (Bytes.make (128 * 64) 'w');
+  Pmem.atomic_write8 p ~off:0 1L;
+  Pmem.flush_lines p [ 0 ];
+  clean ();
+  (* [f n] works on [n] lines of a clean device. *)
+  let same what f =
+    clean ();
+    let w1 = f 1 in
+    clean ();
+    Alcotest.(check int) (what ^ ": 1 line vs 64") w1 (f 64);
+    (* Boxed floats on the way to the clock at most: no event record. *)
+    Alcotest.(check bool) (Printf.sprintf "%s: %d words" what w1) true (w1 <= 4)
+  in
+  same "write" (fun n -> words (fun () -> Pmem.write p ~off:at (if n = 1 then one else big)));
+  same "fill" (fun n -> words (fun () -> Pmem.fill p ~off:at ~len:(n * 64) 'f'));
+  same "atomic_write8" (fun n ->
+      dirty n;
+      words (fun () -> Pmem.atomic_write8 p ~off:0 7L));
+  same "atomic_write16" (fun n ->
+      dirty n;
+      words (fun () -> Pmem.atomic_write16 p ~off:0 v16));
+  same "clflush" (fun n ->
+      dirty n;
+      words (fun () -> Pmem.clflush p ~off:at ~len:(n * 64)));
+  same "sfence" (fun n ->
+      dirty n;
+      Pmem.clflush p ~off:at ~len:(n * 64);
+      words (fun () -> Pmem.sfence p));
+  (* Unsorted input: sorting it costs one array. *)
+  let lines = List.init 64 (fun i -> 128 + (i * 7 mod 64)) in
+  dirty 64;
+  let w = words (fun () -> Pmem.flush_lines p lines) in
+  Alcotest.(check bool) (Printf.sprintf "flush_lines: %d words for 64 lines" w) true (w <= 8 * 64)
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -384,6 +730,12 @@ let suite =
         Alcotest.test_case "crash_select verdicts" `Quick test_crash_select_verdicts;
         Alcotest.test_case "snapshot/restore roundtrip" `Quick test_snapshot_restore_roundtrip;
         Alcotest.test_case "wear_max_in ranges" `Quick test_wear_max_in_ranges;
+      ] );
+    ( "pmem.line_layer",
+      [
+        Alcotest.test_case "matches the hashtable model" `Quick test_differential_random;
+        Alcotest.test_case "matches it past 8192 dirty lines" `Quick test_differential_large;
+        Alcotest.test_case "allocation-free per line" `Quick test_line_layer_allocation;
       ] );
     ( "pmem.observer",
       [

@@ -53,7 +53,11 @@ let test_metrics_incr_get () =
   Metrics.incr m "a" ~by:2;
   Metrics.incr m "a" ~by:3;
   Alcotest.(check int) "accumulates" 5 (Metrics.get m "a");
-  Alcotest.(check int) "missing is 0" 0 (Metrics.get m "nope")
+  Alcotest.(check int) "missing is 0" 0 (Metrics.get m "nope");
+  (* A first zero increment still registers the counter. *)
+  Metrics.incr m "z" ~by:0;
+  Alcotest.(check (list (pair string int))) "zero bump creates the key"
+    [ ("a", 5); ("z", 0) ] (Metrics.to_list m)
 
 let test_metrics_snapshot_diff () =
   let m = Metrics.create () in
