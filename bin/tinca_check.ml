@@ -613,7 +613,13 @@ let run psan lockstep flight commits seed universe ring_slots pmem_kb cap sample
       report.Check.capped_points report.Check.crash_points cap
   else
     Printf.printf "coverage: exhaustive — every survival subset of every crash point explored.\n";
-  Printf.printf "(wall time %.1fs)\n" (Unix.gettimeofday () -. t0);
+  let points = report.Check.crash_points and capped = report.Check.capped_points in
+  Printf.printf "crash points: exhaustive %d/%d (%.1f%%), sampled %d\n" (points - capped) points
+    (100.0 *. float_of_int (points - capped) /. float_of_int (max 1 points))
+    capped;
+  let wall = Unix.gettimeofday () -. t0 in
+  Printf.printf "(wall time %.1fs, %.0f states/s)\n" wall
+    (float_of_int report.Check.states_checked /. Float.max wall 1e-9);
   match report.Check.violations with
   | [] -> 0
   | vs ->

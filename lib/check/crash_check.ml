@@ -8,19 +8,26 @@
    survival subsets of the unfenced cache lines *exhaustively* — all 2^d
    torn media images — rather than sampling them.
 
-   d is kept tractable by two reductions, neither of which loses states:
-   - lines whose volatile content equals their durable backup are
-     dropped from the subset space (their survival cannot change the
-     medium), which is what keeps d small at most crash points given the
-     protocol's own fencing;
-   - post-crash media images are deduplicated by digest, so subsets that
-     collapse to the same medium run recovery once.
+   The subset space is the d lines of [Pmem.torn_lines]: lines whose
+   volatile content equals their durable backup are dropped (their
+   survival cannot change the medium), which is what keeps d small at
+   most crash points given the protocol's own fencing.  Every torn line
+   gives a different medium when it survives than when it is lost, and
+   the lines are disjoint, so two survival masks give the same medium
+   exactly when they are equal.  Deduplication is therefore exact mask
+   comparison (Survival), never a digest of the medium: an exhaustive
+   enumeration has nothing to deduplicate, and at a sampled point a
+   drawn mask that repeats a corner or an earlier draw is counted in
+   [states_deduped] and not recovered again.
 
    When 2^d still exceeds the configured cap (typically inside a torn
    4 KB data-block store, d = 64), the checker falls back to a *seeded
    sample* of the subset space that always includes the all-lost and
    all-survive corners, and reports "explored X of Y" via Logs and the
-   final report instead of truncating silently.
+   final report instead of truncating silently.  A survival subset costs
+   only its recovery and judge: it is an [int] (exhaustive points) or a
+   slot of one reused byte buffer (sampled points), and resolving it on
+   the restored snapshot allocates nothing.
 
    Every explored state must pass three gates:
    1. Tinca.recover succeeds — the facade discriminates the commit
@@ -90,7 +97,7 @@ type report = {
   span : int;  (** pmem events in the crash-free workload run *)
   crash_points : int;  (** crash points explored *)
   states_checked : int;  (** recovery + invariants + oracle executions *)
-  states_deduped : int;  (** survival subsets collapsing to an already-seen medium *)
+  states_deduped : int;  (** sampled subsets equal to one already explored at their point *)
   subsets_total : float;  (** Σ 2^d over crash points (the full space) *)
   capped_points : int;  (** crash points where the cap forced sampling *)
   max_torn_lines : int;  (** largest d encountered *)
@@ -177,43 +184,47 @@ let total_events driver cfg =
 let logical_block tc disk blk =
   match Tinca.peek tc blk with Some data -> data | None -> Disk.read_block disk blk
 
-let first_mismatch tc disk universe expect_of_blk =
-  let bad = ref None in
-  let blk = ref 0 in
-  while !bad = None && !blk < universe do
-    let expect = expect_of_blk !blk in
-    let data = logical_block tc disk !blk in
-    (try Bytes.iter (fun c -> if c <> expect then raise Exit) data
-     with Exit -> bad := Some (!blk, expect, data));
-    incr blk
+(* Every byte of [data] is [c]: compared a 64-bit word at a time. *)
+let all_fill data c =
+  let w = Int64.mul 0x0101010101010101L (Int64.of_int (Char.code c)) in
+  let n = Bytes.length data in
+  let i = ref 0 in
+  while !i + 8 <= n && Int64.equal (Bytes.get_int64_le data !i) w do
+    i := !i + 8
   done;
-  !bad
+  while !i < n && Bytes.get data !i = c do
+    incr i
+  done;
+  !i = n
 
-let matches tc disk universe table =
-  first_mismatch tc disk universe (fun blk ->
-      match Hashtbl.find_opt table blk with Some v -> v | None -> '\000')
-  = None
-
-let with_pending oracle pending =
-  let o = Hashtbl.copy oracle in
-  Hashtbl.iter (fun blk v -> Hashtbl.replace o blk v) pending;
-  o
+let fill_of table blk = match Hashtbl.find_opt table blk with Some v -> v | None -> '\000'
 
 (* The default judge: prefix consistency over the fill-byte oracle
-   tables the default workload maintains. *)
+   tables the default workload maintains.  One pass reads each block
+   once and holds it against both candidate images — the last
+   acknowledged commit ([oracle]) and, when a transaction is in flight,
+   that commit with [pending] fully applied — stopping once neither can
+   match.  The first block that breaks the pre-txn image names the
+   violation. *)
 let prefix_judge env cfg oracle pending recovered =
-  let ok_old = matches recovered env.disk cfg.universe oracle in
-  let ok_new =
-    (not (Hashtbl.length pending = 0))
-    && matches recovered env.disk cfg.universe (with_pending oracle pending)
-  in
-  if ok_old || ok_new then Ok ()
+  let ok_old = ref true and ok_new = ref (Hashtbl.length pending > 0) in
+  let first_bad = ref None in
+  let blk = ref 0 in
+  while (!ok_old || !ok_new) && !blk < cfg.universe do
+    let data = logical_block recovered env.disk !blk in
+    let old_v = fill_of oracle !blk in
+    if !ok_old && not (all_fill data old_v) then begin
+      ok_old := false;
+      first_bad := Some (!blk, old_v, data)
+    end;
+    let new_v = match Hashtbl.find_opt pending !blk with Some v -> v | None -> old_v in
+    if !ok_new && not (all_fill data new_v) then ok_new := false;
+    incr blk
+  done;
+  if !ok_old || !ok_new then Ok ()
   else
     Error
-      (match
-         first_mismatch recovered env.disk cfg.universe (fun blk ->
-             match Hashtbl.find_opt oracle blk with Some v -> v | None -> '\000')
-       with
+      (match !first_bad with
       | Some (blk, expect, data) ->
           Printf.sprintf
             "prefix consistency: block %d is %C (expected %C pre-txn%s) — recovered \
@@ -246,42 +257,22 @@ let check_state env judge =
       | exception e -> Error (Printf.sprintf "invariant audit raised %s" (Printexc.to_string e))
       | () -> judge recovered)
 
-(* --- survival-subset enumeration --------------------------------------- *)
-
-(* All 2^d subsets when that fits the cap; otherwise a seeded sample of
-   [mask_cap] subsets always containing the two corners (all lost / all
-   survive).  Subsets are bit masks over [torn] (bit j = torn line j
-   survives). *)
-let subset_masks ~d ~cap ~rng =
-  let full = 2.0 ** float_of_int d in
-  if d <= 29 && (1 lsl d) <= cap then
-    (`Exhaustive, List.init (1 lsl d) (fun m -> `Bits m), full)
-  else begin
-    let masks = ref [] in
-    for _ = 1 to max 0 (cap - 2) do
-      let tbl = Hashtbl.create 16 in
-      for j = 0 to d - 1 do
-        if Tinca_util.Rng.bool rng then Hashtbl.replace tbl j ()
-      done;
-      masks := `Table tbl :: !masks
-    done;
-    (`Sampled, `Bits 0 :: `All :: !masks, full)
-  end
-
-let mask_mem mask j =
-  match mask with
-  | `Bits m -> m land (1 lsl j) <> 0
-  | `All -> true
-  | `Table tbl -> Hashtbl.mem tbl j
-
 (* --- the sweep ---------------------------------------------------------- *)
 
+(* At each crash point: all 2^d survival subsets of the d torn lines when
+   that fits the cap, as [int] masks 0 .. 2^d - 1; otherwise the all-lost
+   and all-survive corners followed by [mask_cap - 2] masks drawn from
+   [sample_rng], newest draw first.  A sampled mask equal to one already
+   explored at this point gives the same medium, so it is counted as
+   deduplicated instead of recovered again. *)
 let explore ?(progress = fun (_ : int) (_ : int) -> ()) ?driver cfg =
   if cfg.stride < 1 then invalid_arg "Crash_check.explore: stride must be >= 1";
   if cfg.first_event < 1 then invalid_arg "Crash_check.explore: first_event must be >= 1";
   let driver = match driver with Some d -> d | None -> default_driver cfg in
   let span = total_events driver cfg in
   let sample_rng = Tinca_util.Rng.create cfg.sample_seed in
+  let masks = Survival.create () in
+  let survive = Survival.survive masks in
   let crash_points = ref 0 in
   let states_checked = ref 0 in
   let states_deduped = ref 0 in
@@ -304,64 +295,50 @@ let explore ?(progress = fun (_ : int) (_ : int) -> ()) ?driver cfg =
           (Printf.sprintf "Crash_check: countdown %d did not fire within span %d" crash_at span)
     | exception Pmem.Crash_point ->
         incr crash_points;
-        (* Only lines whose volatile content differs from their durable
-           backup span distinct media images; everything else is fixed. *)
-        let torn =
-          List.filter (fun idx -> Pmem.line_torn env.pmem idx) (Pmem.unfenced_lines env.pmem)
-        in
-        let d = List.length torn in
+        (* Only torn lines span distinct media images; everything else is
+           fixed. *)
+        let torn = Pmem.torn_lines env.pmem in
+        let d = Array.length torn in
         if d > !max_torn then max_torn := d;
-        let torn = Array.of_list torn in
-        let torn_bit = Hashtbl.create 16 in
-        Array.iteri (fun j idx -> Hashtbl.replace torn_bit idx j) torn;
+        Survival.start masks torn;
         let snap = Pmem.snapshot env.pmem in
-        let kind, masks, full = subset_masks ~d ~cap:cfg.mask_cap ~rng:sample_rng in
+        let full = 2.0 ** float_of_int d in
         subsets_total := !subsets_total +. full;
-        let explored = List.length masks in
-        (if kind = `Sampled then begin
-           incr capped_points;
-           Log.info (fun m ->
-               m "crash point %d/%d: %d torn lines; exploring %d of %.0f survival subsets \
-                  (seeded sample, cap %d)"
-                 crash_at span d explored full cfg.mask_cap)
-         end
-         else
-           Log.debug (fun m ->
-               m "crash point %d/%d: %d torn lines; exploring all %d survival subsets" crash_at
-                 span d explored));
-        let seen = Hashtbl.create 64 in
-        List.iter
-          (fun mask ->
-            Pmem.restore env.pmem snap;
-            Pmem.crash_select env.pmem ~survive:(fun idx ->
-                (* Verdicts for untorn lines are irrelevant to the medium;
-                   resolve them as survived. *)
-                match Hashtbl.find_opt torn_bit idx with
-                | Some j -> mask_mem mask j
-                | None -> true);
-            let digest = Pmem.media_digest env.pmem in
-            if Hashtbl.mem seen digest then incr states_deduped
-            else begin
-              Hashtbl.add seen digest ();
-              incr states_checked;
-              match check_state env judge with
-              | Ok () -> ()
-              | Error message ->
-                  let surviving = ref [] and lost = ref [] in
-                  Array.iteri
-                    (fun j l -> if mask_mem mask j then surviving := l :: !surviving
-                      else lost := l :: !lost)
-                    torn;
-                  violations :=
-                    {
-                      crash_event = crash_at;
-                      surviving = List.rev !surviving;
-                      lost = List.rev !lost;
-                      message;
-                    }
-                    :: !violations
-            end)
-          masks);
+        let exhaustive = d <= 29 && 1 lsl d <= cfg.mask_cap in
+        let explored = if exhaustive then 1 lsl d else 2 + max 0 (cfg.mask_cap - 2) in
+        if exhaustive then
+          Log.debug (fun m ->
+              m "crash point %d/%d: %d torn lines; exploring all %d survival subsets" crash_at
+                span d explored)
+        else begin
+          Survival.sample masks sample_rng ~n:(explored - 2) ~newest_first:true;
+          incr capped_points;
+          Log.info (fun m ->
+              m "crash point %d/%d: %d torn lines; exploring %d of %.0f survival subsets \
+                 (seeded sample, cap %d)"
+                crash_at span d explored full cfg.mask_cap)
+        end;
+        let run_state () =
+          Pmem.restore env.pmem snap;
+          Pmem.crash_select env.pmem ~survive;
+          incr states_checked;
+          match check_state env judge with
+          | Ok () -> ()
+          | Error message ->
+              let surviving, lost = Survival.partition masks in
+              violations := { crash_event = crash_at; surviving; lost; message } :: !violations
+        in
+        for i = 0 to explored - 1 do
+          if exhaustive then begin
+            Survival.set_bits masks i;
+            run_state ()
+          end
+          else if Survival.seen masks i then incr states_deduped
+          else begin
+            Survival.set_slot masks i;
+            run_state ()
+          end
+        done);
     k := !k + cfg.stride
   done;
   {

@@ -5,10 +5,12 @@
     cache-line survival outcomes.  This checker instead enumerates, at
     every crash point of a deterministic workload, {e all} survival
     subsets of the lines that are both unfenced and torn (volatile
-    content differs from the durable backup) — the full set of media
-    images the adversarial crash model can produce — deduplicates
-    identical images by digest, and runs recovery plus two oracles on
-    each:
+    content differs from the durable backup, {!Tinca_pmem.Pmem.torn_lines})
+    — the full set of media images the adversarial crash model can
+    produce — and runs recovery plus two oracles on each.  Two subsets of
+    torn lines give the same medium exactly when they are equal, so
+    repeated images are recognised by comparing survival masks
+    ({!Survival}), never by hashing the medium.  The oracles:
 
     - {!Tinca.check_invariants} on the recovered engine (per-cache audit
       plus the cross-shard seal);
@@ -86,7 +88,9 @@ type report = {
   span : int;  (** pmem events in the crash-free workload run *)
   crash_points : int;  (** crash points explored *)
   states_checked : int;  (** recovery + invariants + oracle executions *)
-  states_deduped : int;  (** subsets collapsing to an already-seen medium *)
+  states_deduped : int;
+      (** sampled subsets equal to one already explored at their crash
+          point (so giving an already-seen medium) *)
   subsets_total : float;  (** sum of 2^d over crash points (the full space) *)
   capped_points : int;  (** crash points where the cap forced sampling *)
   max_torn_lines : int;  (** largest d encountered *)

@@ -251,6 +251,8 @@ let sweep ?(progress = fun (_ : int) (_ : int) -> ()) cfg =
   if cfg.flight_slots <= 0 then invalid_arg "Flight_check.sweep: flight_slots must be > 0";
   let span = total_events cfg in
   let sample_rng = Rng.create (cfg.seed + 17) in
+  let masks = Survival.create () in
+  let survive = Survival.survive masks in
   let crash_points = ref 0 in
   let states_checked = ref 0 in
   let dossiers_built = ref 0 in
@@ -269,43 +271,31 @@ let sweep ?(progress = fun (_ : int) (_ : int) -> ()) cfg =
           (Printf.sprintf "Flight_check: countdown %d did not fire within span %d" crash_at span)
     | exception Pmem.Crash_point ->
         incr crash_points;
-        let torn =
-          List.filter (fun idx -> Pmem.line_torn env.pmem idx) (Pmem.unfenced_lines env.pmem)
-        in
-        let torn = Array.of_list torn in
+        let torn = Pmem.torn_lines env.pmem in
         let d = Array.length torn in
         let snap = Pmem.snapshot env.pmem in
-        (* Two corners plus seeded samples; deduplicate identical media. *)
-        let masks =
-          (fun all_lost all_survive samples -> all_lost :: all_survive :: samples)
-            (fun _ -> false)
-            (fun _ -> true)
-            (List.init (min cfg.samples (max 0 ((1 lsl min d 20) - 2))) (fun _ ->
-                 let tbl = Hashtbl.create 16 in
-                 Array.iter (fun idx -> if Rng.bool sample_rng then Hashtbl.replace tbl idx ()) torn;
-                 fun idx -> Hashtbl.mem tbl idx))
-        in
-        let seen = Hashtbl.create 8 in
-        List.iter
-          (fun survive ->
+        (* Two corners plus seeded samples; a mask equal to one already
+           explored here gives the same medium (Survival), so skip it. *)
+        let n = min cfg.samples (max 0 ((1 lsl min d 20) - 2)) in
+        Survival.start masks torn;
+        Survival.sample masks sample_rng ~n ~newest_first:false;
+        for i = 0 to n + 1 do
+          if not (Survival.seen masks i) then begin
+            Survival.set_slot masks i;
             Pmem.restore env.pmem snap;
             Pmem.crash_select env.pmem ~survive;
-            let digest = Pmem.media_digest env.pmem in
-            if not (Hashtbl.mem seen digest) then begin
-              Hashtbl.add seen digest ();
-              incr states_checked;
-              let errs, dossier = check_state cfg env ~durable ~sealed ~current:!current in
-              (match dossier with
-              | Some d ->
-                  incr dossiers_built;
-                  records_replayed := !records_replayed + d.Forensics.record_count
-              | None -> ());
-              List.iter
-                (fun m ->
-                  violations := Printf.sprintf "crash@event %d: %s" crash_at m :: !violations)
-                errs
-            end)
-          masks);
+            incr states_checked;
+            let errs, dossier = check_state cfg env ~durable ~sealed ~current:!current in
+            (match dossier with
+            | Some d ->
+                incr dossiers_built;
+                records_replayed := !records_replayed + d.Forensics.record_count
+            | None -> ());
+            List.iter
+              (fun m -> violations := Printf.sprintf "crash@event %d: %s" crash_at m :: !violations)
+              errs
+          end
+        done);
     k := !k + cfg.stride
   done;
   {

@@ -521,10 +521,20 @@ let crash_driver g cmds =
         in
         let workload () = Array.iter exec cmds in
         let judge recovered =
+          (* Each logical block is read at most once per state, however
+             many candidate images it is held against. *)
+          let read = Array.make g.universe None in
           let logical blk =
-            match Tinca.peek recovered blk with
+            match read.(blk) with
             | Some data -> data
-            | None -> Disk.read_block env.Check.disk blk
+            | None ->
+                let data =
+                  match Tinca.peek recovered blk with
+                  | Some data -> data
+                  | None -> Disk.read_block env.Check.disk blk
+                in
+                read.(blk) <- Some data;
+                data
           in
           let matches spec =
             let rec go blk =

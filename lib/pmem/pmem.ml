@@ -20,7 +20,10 @@ type event =
    - [dirty] is that stack: the non-durable lines in the order they were
      dirtied ([sfence] compacts it in place, keeping that order);
    - [arena] holds each dirty line's rollback content (its last durable
-     64 B) at slot [pos], moving with the line when the stack compacts.
+     64 B) at slot [pos], moving with the line when the stack compacts;
+   - [order] is scratch for {!draw_order} and {!torn_lines}, grown to
+     the length of [dirty] on first use, so that resolving a crash
+     allocates nothing either once it has grown.
 
    [buckets] mirrors the bucket count of the [(int, line) Hashtbl.t] this
    layer replaced (created at 4096, doubled when the dirty count exceeds
@@ -34,6 +37,7 @@ type t = {
   state : Bytes.t;
   mutable dirty : int array;
   mutable arena : Bytes.t;
+  mutable order : int array;
   mutable ndirty : int;
   mutable buckets : int;
   clock : Clock.t;
@@ -58,6 +62,7 @@ let create ?(seed = 42) ?(flush_instr = Latency.Clflush) ~clock ~metrics ~tech ~
     state = Bytes.make (4 * nlines) '\000';
     dirty = Array.make initial_capacity 0;
     arena = Bytes.create (initial_capacity * line_size);
+    order = [||];
     ndirty = 0;
     buckets = initial_buckets;
     clock;
@@ -142,21 +147,53 @@ let clear_lines t =
   t.ndirty <- 0;
   t.buckets <- initial_buckets
 
-(* Dirty-stack positions in the order the replaced hashtable's [fold]
-   listed its lines: bucket [Hashtbl.hash idx land (buckets - 1)]
-   descending, oldest-dirtied first within a bucket.  [crash] draws
-   survival per line in this order, so keeping it keeps every seeded
-   crash outcome — and with it the simulated results — bit-identical to
-   those of the hashtable layer.  Each sort key packs the reversed bucket
-   above the position, which fits in 31 bits. *)
+(* Restore the max-heap property of [a.(0 .. len - 1)] below [root]. *)
+let rec sift_down (a : int array) root len =
+  let child = (2 * root) + 1 in
+  if child < len then begin
+    let c = if child + 1 < len && a.(child + 1) > a.(child) then child + 1 else child in
+    if a.(c) > a.(root) then begin
+      let v = a.(root) in
+      a.(root) <- a.(c);
+      a.(c) <- v;
+      sift_down a c len
+    end
+  end
+
+(* In-place heapsort of [a.(0 .. n - 1)], ascending: unlike [Array.sort]
+   it sorts a prefix and allocates nothing. *)
+let sort_prefix a n =
+  for root = (n / 2) - 1 downto 0 do
+    sift_down a root n
+  done;
+  for last = n - 1 downto 1 do
+    let v = a.(0) in
+    a.(0) <- a.(last);
+    a.(last) <- v;
+    sift_down a 0 last
+  done
+
+let order_scratch t =
+  if Array.length t.order < t.ndirty then t.order <- Array.make (Array.length t.dirty) 0;
+  t.order
+
+(* Fill [order.(0 .. ndirty - 1)] with the dirty-stack positions in the
+   order the replaced hashtable's [fold] listed its lines: bucket
+   [Hashtbl.hash idx land (buckets - 1)] descending, oldest-dirtied first
+   within a bucket.  [crash] draws survival per line in this order, so
+   keeping it keeps every seeded crash outcome — and with it the
+   simulated results — bit-identical to those of the hashtable layer.
+   Each sort key packs the reversed bucket above the position, which
+   fits in 31 bits; keys are distinct, so any correct sort agrees. *)
 let draw_order t =
-  let mask = t.buckets - 1 in
-  let keys =
-    Array.init t.ndirty (fun pos ->
-        ((mask - (Hashtbl.hash t.dirty.(pos) land mask)) lsl 31) lor pos)
-  in
-  Array.sort Int.compare keys;
-  Array.map (fun k -> k land 0x7fff_ffff) keys
+  let mask = t.buckets - 1 and order = order_scratch t in
+  for pos = 0 to t.ndirty - 1 do
+    order.(pos) <- ((mask - (Hashtbl.hash t.dirty.(pos) land mask)) lsl 31) lor pos
+  done;
+  sort_prefix order t.ndirty;
+  for i = 0 to t.ndirty - 1 do
+    order.(i) <- order.(i) land 0x7fff_ffff
+  done
 
 let first_line off = off / line_size
 let last_line off len = (off + len - 1) / line_size
@@ -366,12 +403,13 @@ let persist t ~off ~len =
    newest content reached the medium, a lost one reverts to its backup.
    Leaves the device quiescent. *)
 let resolve t ~survive =
-  Array.iter
-    (fun pos ->
-      let idx = t.dirty.(pos) in
-      if survive idx then t.wear.(idx) <- t.wear.(idx) + 1
-      else Bytes.blit t.arena (pos * line_size) t.media (idx * line_size) line_size)
-    (draw_order t);
+  draw_order t;
+  for i = 0 to t.ndirty - 1 do
+    let pos = t.order.(i) in
+    let idx = t.dirty.(pos) in
+    if survive idx then t.wear.(idx) <- t.wear.(idx) + 1
+    else Bytes.blit t.arena (pos * line_size) t.media (idx * line_size) line_size
+  done;
   clear_lines t;
   t.countdown <- 0;
   emit t Crash
@@ -382,23 +420,12 @@ let crash ?seed ?(survival = 0.5) t =
 
 (* --- crash-space exploration hooks (lib/check) ------------------------- *)
 
-(* Cache lines dirtied since the last fence, ascending.  At a crash each
-   of these may independently reach the medium or be lost, so they span
-   the survival-subset space the model checker enumerates. *)
-let unfenced_lines t = List.sort Int.compare (Array.to_list (Array.sub t.dirty 0 t.ndirty))
-
-let in_device t idx = idx >= 0 && idx < Array.length t.wear
-
-(* Whether losing/keeping [idx] changes the medium: a line whose volatile
-   content equals its durable backup is unaffected by the crash outcome.
-   Compared in place, 8 bytes at a time. *)
-let line_torn t idx =
-  in_device t idx
-  &&
-  let s = line_state t idx in
-  s <> 0
-  &&
-  let backup = (abs s - 1) * line_size and cur = idx * line_size in
+(* Whether losing/keeping the line at dirty-stack position [pos] changes
+   the medium: a line whose volatile content equals its durable backup
+   is unaffected by the crash outcome.  Compared in place, 8 bytes at a
+   time. *)
+let torn_at t pos =
+  let backup = pos * line_size and cur = t.dirty.(pos) * line_size in
   let i = ref 0 in
   while
     !i < line_size
@@ -407,6 +434,22 @@ let line_torn t idx =
     i := !i + 8
   done;
   !i < line_size
+
+(* The unfenced lines a crash can actually tear, ascending: at a crash
+   each may independently reach the medium or be lost, and each choice
+   gives a different medium, so they span the survival-subset space the
+   model checker enumerates. *)
+let torn_lines t =
+  let order = order_scratch t and n = ref 0 in
+  for pos = 0 to t.ndirty - 1 do
+    if torn_at t pos then begin
+      order.(!n) <- t.dirty.(pos);
+      incr n
+    end
+  done;
+  let lines = Array.sub order 0 !n in
+  Array.sort Int.compare lines;
+  lines
 
 (* Resolve a crash with an explicit survival verdict per unfenced line
    ([survive idx] = the line's newest content reached the medium), instead
@@ -429,7 +472,8 @@ type snapshot = {
    survival subset without replaying the workload.  [restore] disarms any
    crash countdown; simulated time and metrics are left untouched. *)
 let snapshot t =
-  let order = draw_order t in
+  draw_order t;
+  let order = Array.sub t.order 0 t.ndirty in
   let backups = Bytes.create (Array.length order * line_size) in
   Array.iteri
     (fun i pos -> Bytes.blit t.arena (pos * line_size) backups (i * line_size) line_size)
@@ -455,7 +499,7 @@ let restore t s =
   Array.blit s.snap_wear 0 t.wear 0 (Array.length t.wear);
   t.countdown <- 0
 
-(* Digest of the durable medium, for deduplicating post-crash images. *)
+(* Digest of the durable medium, for pinning identical media. *)
 let media_digest t = Digest.bytes t.media
 
 let set_crash_countdown t c =
@@ -466,6 +510,7 @@ let set_crash_countdown t c =
 
 let event_count t = t.events
 let dirty_line_count t = t.ndirty
+let in_device t idx = idx >= 0 && idx < Array.length t.wear
 let is_dirty t ~off = in_device t (off / line_size) && line_state t (off / line_size) <> 0
 let wear_total t = Array.fold_left ( + ) 0 t.wear
 let wear_max t = Array.fold_left max 0 t.wear

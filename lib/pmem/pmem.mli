@@ -142,22 +142,23 @@ val set_crash_countdown : t -> int option -> unit
 
     Hooks for the exhaustive crash-space model checker: instead of
     sampling one random survival outcome per crash, it enumerates every
-    survival subset of the unfenced lines, re-entering the same pre-crash
+    survival subset of the {!torn_lines}, re-entering the same pre-crash
     device state via {!snapshot}/{!restore}. *)
 
-(** Indices of the cache lines dirtied since the last fence, ascending.
-    At a crash, each may independently reach the medium or be lost. *)
-val unfenced_lines : t -> int list
-
-(** [line_torn t idx] — does losing vs. keeping line [idx] change the
-    medium?  [false] when the line's volatile content equals its durable
-    backup (such lines need not be enumerated). *)
-val line_torn : t -> int -> bool
+(** The unfenced lines whose volatile content differs from their durable
+    backup, ascending: exactly the lines whose survival verdict at a
+    crash changes the medium.  Every other unfenced line (never flushed,
+    or rewritten with the bytes it already held) leaves the medium the
+    same whether it survives or not, so two survival subsets of these
+    lines give the same medium only if they are equal. *)
+val torn_lines : t -> int array
 
 (** [crash_select t ~survive] resolves a crash with an explicit verdict
     per unfenced line: [survive idx] means the line's newest content
-    reached the medium.  Empties the volatile layer and disarms any
-    crash countdown. *)
+    reached the medium.  Lines are asked in {!crash}'s fixed draw order
+    (DESIGN.md §6).  Empties the volatile layer and disarms any crash
+    countdown.  Allocates nothing: the draw-order scratch belongs to the
+    device. *)
 val crash_select : t -> survive:(int -> bool) -> unit
 
 type snapshot
@@ -171,7 +172,8 @@ val snapshot : t -> snapshot
     and metrics are left untouched. *)
 val restore : t -> snapshot -> unit
 
-(** Digest of the durable medium, for deduplicating post-crash images. *)
+(** Digest of the durable medium, for pinning that two runs left
+    identical media. *)
 val media_digest : t -> Digest.t
 
 (** {1 Event observation (lib/check's persistence sanitizer)}

@@ -1,4 +1,9 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The xoshiro state s0..s3 lives in a 32-byte buffer rather than in
+   four mutable [int64] fields: reading and writing it through
+   [Bytes.get_int64_le]/[set_int64_le] keeps every intermediate value
+   unboxed, so the draws that return an [int], [float] or [bool] allocate
+   nothing.  Only [next64], whose result is an [int64], boxes. *)
+type t = Bytes.t
 
 (* splitmix64, used to expand the seed into the xoshiro state so that
    low-entropy seeds (0, 1, 2, ...) still give well-mixed streams. *)
@@ -10,49 +15,50 @@ let splitmix64 state =
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-let create seed =
-  let state = ref (Int64.of_int seed) in
-  let s0 = splitmix64 state in
-  let s1 = splitmix64 state in
-  let s2 = splitmix64 state in
-  let s3 = splitmix64 state in
-  { s0; s1; s2; s3 }
+let of_seed64 seed =
+  let state = ref seed in
+  let t = Bytes.create 32 in
+  for i = 0 to 3 do
+    Bytes.set_int64_le t (8 * i) (splitmix64 state)
+  done;
+  t
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let create seed = of_seed64 (Int64.of_int seed)
+let copy = Bytes.copy
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+let[@inline] rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let next64 t =
+(* One xoshiro256** step.  Inlined into each draw, so the result stays
+   unboxed until the caller narrows it. *)
+let[@inline always] step t =
   let open Int64 in
-  let result = mul (rotl (mul t.s1 5L) 7) 9L in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = Bytes.get_int64_le t 0
+  and s1 = Bytes.get_int64_le t 8
+  and s2 = Bytes.get_int64_le t 16
+  and s3 = Bytes.get_int64_le t 24 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  Bytes.set_int64_le t 0 (logxor s0 s3);
+  Bytes.set_int64_le t 8 (logxor s1 s2);
+  Bytes.set_int64_le t 16 (logxor s2 (shift_left s1 17));
+  Bytes.set_int64_le t 24 (rotl s3 45);
   result
 
-let split t =
-  let state = ref (next64 t) in
-  let s0 = splitmix64 state in
-  let s1 = splitmix64 state in
-  let s2 = splitmix64 state in
-  let s3 = splitmix64 state in
-  { s0; s1; s2; s3 }
+let next64 t = step t
+let split t = of_seed64 (step t)
 
 let int t bound =
   assert (bound > 0);
-  let v = Int64.to_int (Int64.shift_right_logical (next64 t) 2) in
+  let v = Int64.to_int (Int64.shift_right_logical (step t) 2) in
   v mod bound
 
 let float t =
   (* 53 high bits -> [0, 1). *)
-  let v = Int64.to_int (Int64.shift_right_logical (next64 t) 11) in
+  let v = Int64.to_int (Int64.shift_right_logical (step t) 11) in
   float_of_int v /. 9007199254740992.0
 
-let bool t = Int64.compare (Int64.logand (next64 t) 1L) 0L <> 0
+let bool t = Int64.to_int (step t) land 1 <> 0
 let chance t p = float t < p
 
 let pick t arr =

@@ -184,33 +184,35 @@ let test_dirty_tracking () =
 
 (* --- crash-space exploration hooks (lib/check's model checker) ----------- *)
 
-let test_unfenced_lines_ordering () =
+let torn p = Array.to_list (Pmem.torn_lines p)
+
+let test_torn_lines_ordering () =
   let p, _, _ = mk ~size:4096 () in
-  Alcotest.(check (list int)) "clean device" [] (Pmem.unfenced_lines p);
+  Alcotest.(check (list int)) "clean device" [] (torn p);
   (* Dirty lines 5, 1 and 3 in that order: the listing is ascending. *)
   Pmem.write p ~off:(5 * 64) (bytes_of "e");
   Pmem.write p ~off:(1 * 64) (bytes_of "a");
   Pmem.write p ~off:(3 * 64) (bytes_of "c");
-  Alcotest.(check (list int)) "ascending" [ 1; 3; 5 ] (Pmem.unfenced_lines p);
+  Alcotest.(check (list int)) "ascending" [ 1; 3; 5 ] (torn p);
   (* A flush-pending line is still unfenced. *)
   Pmem.clflush p ~off:(3 * 64) ~len:64;
-  Alcotest.(check (list int)) "pending still listed" [ 1; 3; 5 ] (Pmem.unfenced_lines p);
+  Alcotest.(check (list int)) "pending still listed" [ 1; 3; 5 ] (torn p);
   Pmem.sfence p;
   (* The fence persisted line 3 only; 1 and 5 were never flushed. *)
-  Alcotest.(check (list int)) "fence clears pending only" [ 1; 5 ] (Pmem.unfenced_lines p)
+  Alcotest.(check (list int)) "fence clears pending only" [ 1; 5 ] (torn p)
 
-let test_line_torn () =
+let test_torn_lines_untorn () =
   let p, _, _ = mk ~size:4096 () in
   Pmem.write p ~off:0 (bytes_of "version1");
   Pmem.persist p ~off:0 ~len:8;
   (* Rewriting the identical bytes dirties the line without changing it:
      losing vs. keeping it is indistinguishable, so it is not torn. *)
   Pmem.write p ~off:0 (bytes_of "version1");
-  Alcotest.(check (list int)) "line is unfenced" [ 0 ] (Pmem.unfenced_lines p);
-  Alcotest.(check bool) "identical rewrite is not torn" false (Pmem.line_torn p 0);
+  Alcotest.(check int) "line is unfenced" 1 (Pmem.dirty_line_count p);
+  Alcotest.(check (list int)) "identical rewrite is not torn" [] (torn p);
   (* A genuine change is torn. *)
   Pmem.write p ~off:0 (bytes_of "version2");
-  Alcotest.(check bool) "changed line is torn" true (Pmem.line_torn p 0)
+  Alcotest.(check (list int)) "changed line is torn" [ 0 ] (torn p)
 
 let test_crash_select_verdicts () =
   let p, _, _ = mk ~size:4096 () in
@@ -235,7 +237,7 @@ let test_snapshot_restore_roundtrip () =
   let snap = Pmem.snapshot p in
   let digest0 = Pmem.media_digest p in
   let dirty0 = Pmem.dirty_line_count p in
-  let unfenced0 = Pmem.unfenced_lines p in
+  let torn0 = torn p in
   let wear0 = Pmem.wear_total p in
   (* Diverge: lose everything volatile, then overwrite the durable line. *)
   Pmem.crash ~seed:3 ~survival:0.0 p;
@@ -246,7 +248,7 @@ let test_snapshot_restore_roundtrip () =
   Pmem.restore p snap;
   Alcotest.(check bool) "media digest restored" true (Digest.equal digest0 (Pmem.media_digest p));
   Alcotest.(check int) "dirty lines restored" dirty0 (Pmem.dirty_line_count p);
-  Alcotest.(check (list int)) "unfenced set restored" unfenced0 (Pmem.unfenced_lines p);
+  Alcotest.(check (list int)) "torn set restored" torn0 (torn p);
   Alcotest.(check int) "wear restored" wear0 (Pmem.wear_total p);
   Alcotest.(check string) "newest store visible again" "volatile"
     (Bytes.to_string (Pmem.read p ~off:128 ~len:8));
@@ -490,10 +492,7 @@ let check_same what (m : Ref_pmem.t) p clock metrics =
   Alcotest.(check bool) (what ^ ": media") true (Digest.equal (Digest.bytes m.media) (Pmem.media_digest p));
   Alcotest.(check (array int)) (what ^ ": wear") m.wear
     (Array.init lines (fun i -> Pmem.wear_sum_in p ~off:(i * 64) ~len:64));
-  Alcotest.(check (list int)) (what ^ ": unfenced_lines") unfenced (Pmem.unfenced_lines p);
-  Alcotest.(check (list bool)) (what ^ ": line_torn")
-    (List.map (Ref_pmem.torn m) (0 :: unfenced))
-    (List.map (Pmem.line_torn p) (0 :: unfenced));
+  Alcotest.(check (list int)) (what ^ ": torn_lines") (List.filter (Ref_pmem.torn m) unfenced) (torn p);
   Alcotest.(check int) (what ^ ": dirty_line_count") (Hashtbl.length m.lines) (Pmem.dirty_line_count p);
   Alcotest.(check bool) (what ^ ": sim clock") true
     (Float.equal (Clock.now_ns m.clock) (Clock.now_ns clock));
@@ -690,6 +689,33 @@ let test_line_layer_allocation () =
   let w = words (fun () -> Pmem.flush_lines p lines) in
   Alcotest.(check bool) (Printf.sprintf "flush_lines: %d words for 64 lines" w) true (w <= 8 * 64)
 
+(* The crash explorer's per-state path: restore a snapshot, resolve it
+   with [crash_select].  Once the device's draw-order scratch has grown,
+   resolving allocates nothing, however many lines are unfenced. *)
+let test_crash_select_allocation () =
+  let p, _, _ = mk ~size:(512 * 64) () in
+  Pmem.write p ~off:0 (Bytes.make (300 * 64) 'a');
+  Pmem.clflush p ~off:(64 * 64) ~len:(64 * 64);
+  let snap = Pmem.snapshot p in
+  let keep = ref 0 in
+  let survive idx = idx land !keep = 0 in
+  let words () =
+    Pmem.restore p snap;
+    let w0 = Gc.minor_words () in
+    Pmem.crash_select p ~survive;
+    Gc.minor_words () -. w0
+  in
+  let baseline =
+    let w0 = Gc.minor_words () in
+    Gc.minor_words () -. w0
+  in
+  ignore (words ());
+  List.iter
+    (fun k ->
+      keep := k;
+      Alcotest.(check (float 0.0)) (Printf.sprintf "crash_select, mask %d" k) baseline (words ()))
+    [ 0; 1; 3; 7 ]
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -725,8 +751,8 @@ let suite =
       ] );
     ( "pmem.exploration",
       [
-        Alcotest.test_case "unfenced_lines ascending" `Quick test_unfenced_lines_ordering;
-        Alcotest.test_case "line_torn clean vs torn" `Quick test_line_torn;
+        Alcotest.test_case "torn_lines ascending" `Quick test_torn_lines_ordering;
+        Alcotest.test_case "torn_lines skips rewrites" `Quick test_torn_lines_untorn;
         Alcotest.test_case "crash_select verdicts" `Quick test_crash_select_verdicts;
         Alcotest.test_case "snapshot/restore roundtrip" `Quick test_snapshot_restore_roundtrip;
         Alcotest.test_case "wear_max_in ranges" `Quick test_wear_max_in_ranges;
@@ -736,6 +762,7 @@ let suite =
         Alcotest.test_case "matches the hashtable model" `Quick test_differential_random;
         Alcotest.test_case "matches it past 8192 dirty lines" `Quick test_differential_large;
         Alcotest.test_case "allocation-free per line" `Quick test_line_layer_allocation;
+        Alcotest.test_case "crash_select allocates nothing" `Quick test_crash_select_allocation;
       ] );
     ( "pmem.observer",
       [

@@ -40,6 +40,90 @@ let test_rng_split_differs () =
   let b = Rng.split a in
   Alcotest.(check bool) "split stream differs" false (Int64.equal (Rng.next64 a) (Rng.next64 b))
 
+(* Golden vectors: MD5 of the first 64 draws of each kind, as the
+   four-[int64]-field generator produced them.  A change of the state's
+   representation must keep every stream bit-identical. *)
+let rng_trace kind rng =
+  let b = Buffer.create 4096 in
+  for _ = 1 to 64 do
+    match kind with
+    | `Next64 -> Printf.bprintf b "%Ld " (Rng.next64 rng)
+    | `Int -> Printf.bprintf b "%d " (Rng.int rng 1_000_003)
+    | `Float -> Printf.bprintf b "%h " (Rng.float rng)
+    | `Bool -> Printf.bprintf b "%b " (Rng.bool rng)
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let rng_kinds = [ `Next64; `Int; `Float; `Bool ]
+
+let test_rng_golden () =
+  let check what expected rng_of_kind =
+    List.iter2
+      (fun kind want -> Alcotest.(check string) what want (rng_trace kind (rng_of_kind ())))
+      rng_kinds expected
+  in
+  List.iter
+    (fun (seed, first, expected) ->
+      Alcotest.(check int64) (Printf.sprintf "seed %d: first next64" seed) first
+        (Rng.next64 (Rng.create seed));
+      check (Printf.sprintf "seed %d" seed) expected (fun () -> Rng.create seed))
+    [
+      ( 0,
+        -7355399402456485196L,
+        [ "27534e082c367362751a21dee9eff428"; "44bbd0c478efab19d2cd281c3a2424e9";
+          "26bdd912c7991d06582c3aa7eb309034"; "fbbedc13c56cc9ec2f916b5797bf631f" ] );
+      ( 1,
+        -5480124913605472059L,
+        [ "61da8f8ec17553c2ff09567282724d9f"; "08117f695c2faefa640f6ffb5cd2fd38";
+          "70a683a70afec265dd855c7c08fec586"; "59f3067ff5e0bdfc8933d9b3bf711ac5" ] );
+      ( 2024,
+        1029197146548041518L,
+        [ "5ac132e7fba762996730d51f22b00179"; "20ddc0e6514dc64ec3c92e351d02812d";
+          "f5b6980f70e36be44a25fceb6c304cfb"; "671f2670d2d8de4b980046f90ca704d6" ] );
+    ];
+  (* After ten draws, a copy and a split; then each of the three
+     generators runs all four kinds back to back. *)
+  let r = Rng.create 2024 in
+  for _ = 1 to 10 do
+    ignore (Rng.next64 r)
+  done;
+  let c = Rng.copy r in
+  let s = Rng.split r in
+  List.iter
+    (fun (what, g, expected) ->
+      List.iter2 (fun kind want -> Alcotest.(check string) what want (rng_trace kind g)) rng_kinds expected)
+    [
+      ( "copy",
+        c,
+        [ "75778b5405eb705988430ee16fd4623b"; "e55e964733c7ac4d1ad24578abf860f3";
+          "eb995de8cd1fe412cab63de7f82d95a2"; "04e7362ac8915ae7c06341396d212ca2" ] );
+      ( "split",
+        s,
+        [ "a4d16512f7f556237f74ae71a31a389d"; "5b2b38edea9483433cc507cbf3fc7b2b";
+          "2a574792d4b3f36b47f8f0c1722a4218"; "b34d319172668ce7622f92522fa0a415" ] );
+      ( "split parent",
+        r,
+        [ "ba7135257cc3c9f5ef15a7ace5571eff"; "71033f6db6fc4543d695db6ead1ff792";
+          "6f02f64369f76e23a874859c4c49f095"; "a29c1da25e0c60be1ec0b601ef2bf6b3" ] );
+    ]
+
+(* [bool] and [int] draws allocate nothing: 1000 calls cost the same
+   minor words as an empty loop. *)
+let test_rng_allocation () =
+  let r = Rng.create 11 in
+  let words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let acc = ref 0 in
+  let empty = words (fun () -> for _ = 1 to 1000 do acc := !acc + 1 done) in
+  let bools = words (fun () -> for _ = 1 to 1000 do if Rng.bool r then incr acc done) in
+  let ints = words (fun () -> for _ = 1 to 1000 do acc := !acc + Rng.int r 97 done) in
+  Alcotest.(check (float 0.0)) "Rng.bool: 0 words per call" empty bools;
+  Alcotest.(check (float 0.0)) "Rng.int: 0 words per call" empty ints;
+  ignore (Sys.opaque_identity !acc)
+
 let test_rng_shuffle_permutation () =
   let r = Rng.create 8 in
   let arr = Array.init 100 Fun.id in
@@ -188,6 +272,8 @@ let suite =
         Alcotest.test_case "copy independent" `Quick test_rng_copy_independent;
         Alcotest.test_case "split differs" `Quick test_rng_split_differs;
         Alcotest.test_case "shuffle permutes" `Quick test_rng_shuffle_permutation;
+        Alcotest.test_case "golden streams" `Quick test_rng_golden;
+        Alcotest.test_case "bool and int allocate nothing" `Quick test_rng_allocation;
       ] );
     ( "util.zipf",
       [
