@@ -113,13 +113,18 @@ type t = {
   mutable read_misses : int;
   mutable write_hits : int;
   mutable write_misses : int;
-  (* Flight recorder (ISSUE 9): volatile cursor over the NVM record
-     ring, the record lines written since the last commit-path fence
-     (folded into that fence, never fenced on their own), the drain
-     counter that numbers batches, and the records recovered by the last
-     [recover_region] scan. *)
+  (* Flush batches, reused across commits: [lines] is the cache's own
+     (stage A, and the flight records waiting for the next commit-path
+     flush); [sealed] and [sealed_slots] gather the data + entry lines and
+     the staged ring-slot lines of every sealed transaction, each handle
+     keeping only its marks into them. *)
+  lines : Pmem.Lineset.t;
+  sealed : Pmem.Lineset.t;
+  sealed_slots : Pmem.Lineset.t;
+  (* Flight recorder: volatile cursor over the NVM record ring, the
+     drain counter that numbers batches, and the records recovered by
+     the last [recover_region] scan. *)
   flight : Flight.cursor option;
-  mutable flight_dirty : int list;
   mutable flight_batch : int;
   mutable flight_cur_batch : int;
   mutable flight_shard : int;
@@ -140,9 +145,9 @@ let flight_scan_result t = t.flight_scan
 let flight_next_batch t = t.flight_batch
 
 (* Volatile store of one 64 B record (exactly one line): no flush, no
-   fence — the dirtied line waits in [flight_dirty] for the commit
-   path's next fence stage.  Restores the pmem call-site label so the
-   sanitizer keeps attributing the surrounding protocol step. *)
+   fence — the dirtied line waits in the cache's flush batch [lines] for
+   the commit path's next flush.  Restores the pmem call-site label so
+   the sanitizer keeps attributing the surrounding protocol step. *)
 let flight_note t ?(batch = -1) ?(cause = Flight.Sync) ?(a = 0) ?(b = 0) ?(c = 0) ?(d = 0) kind =
   match t.flight with
   | None -> ()
@@ -156,31 +161,23 @@ let flight_note t ?(batch = -1) ?(cause = Flight.Sync) ?(a = 0) ?(b = 0) ?(c = 0
       let off = Layout.flight_slot_off t.layout cur.Flight.seq in
       Pmem.write t.pmem ~off (Flight.encode ~seq:cur.Flight.seq ev);
       cur.Flight.seq <- cur.Flight.seq + 1;
-      t.flight_dirty <- (off / Pmem.line_size) :: t.flight_dirty;
+      Pmem.Lineset.add t.lines (off / Pmem.line_size);
       Metrics.incr t.metrics "tinca.flight.records" ~by:1;
       Pmem.set_site t.pmem site
 [@@pmem.defer
-  "a flight record is deliberately left unflushed: the dirtied line is parked in flight_dirty \
-   until flight_flush_into_fence folds it into the commit path's next existing flush+fence stage \
-   (zero added fences); a record torn by a crash before that fence fails its CRC and is dropped \
-   by Flight.scan — detected, not trusted"]
+  "a flight record is deliberately left unflushed: the dirtied line waits in the cache's flush \
+   batch until the commit path's next flush_lines or flight_flush_into_fence folds it into an \
+   existing flush+fence stage (zero added fences); a record torn by a crash before that fence \
+   fails its CRC and is dropped by Flight.scan — detected, not trusted"]
 
-(* Record lines awaiting a fence, surrendered to the caller (who folds
-   them into an imminent flush_lines batch). *)
-let flight_take t =
-  match t.flight_dirty with
-  | [] -> []
-  | lines ->
-      t.flight_dirty <- [];
-      lines
-
-(* clflush the pending record lines into the caller's imminent fence —
-   never a fence of its own, so the commit path's sfence count is
-   untouched by the recorder. *)
+(* clflush the pending record lines, newest first, into the caller's
+   imminent fence — never a fence of its own, so the commit path's
+   sfence count is untouched by the recorder. *)
 let flight_flush_into_fence t =
-  List.iter
+  Pmem.Lineset.iter_rev
     (fun l -> Pmem.clflush t.pmem ~off:(l * Pmem.line_size) ~len:Pmem.line_size)
-    (flight_take t)
+    t.lines;
+  Pmem.Lineset.clear t.lines
 
 (* --- superblock ------------------------------------------------------- *)
 
@@ -407,7 +404,9 @@ let make_t ~config:cfg ~layout ~pmem ~disk ~clock ~metrics =
     flight =
       (if layout.Layout.flight_slots > 0 then Some (Flight.cursor ~slots:layout.Layout.flight_slots)
        else None);
-    flight_dirty = [];
+    lines = Pmem.Lineset.create ();
+    sealed = Pmem.Lineset.create ();
+    sealed_slots = Pmem.Lineset.create ();
     flight_batch = 0;
     flight_cur_batch = -1;
     flight_shard = 0;
@@ -663,11 +662,13 @@ module Txn = struct
     staged : (int, bytes) Hashtbl.t;
     mutable order : int list; (* reversed insertion order *)
     mutable state : state;
-    (* Volatile seal bookkeeping ([seal]): the dirtied data+entry lines
-       and staged ring-slot lines of this transaction, waiting for the
-       group committer to flush them in one batch ([flush_sealed]). *)
-    mutable sealed_lines : int list;
-    mutable slot_lines : int list;
+    (* Volatile seal bookkeeping ([seal]): the marks in the cache's
+       [sealed] and [sealed_slots] sets where this transaction's dirtied
+       data + entry lines and staged ring-slot lines begin (they wait
+       there for the group committer's one batched flush,
+       [flush_sealed]), and its staged slot count. *)
+    mutable sealed_mark : int;
+    mutable slot_mark : int;
     mutable sealed_slots : int;
     (* Facade ticket id for the flight recorder's Txn_seal record; -1
        when the transaction has no ticket (sync path). *)
@@ -677,7 +678,7 @@ module Txn = struct
   let init cache =
     Trace.instant ~clock:cache.clock "tinca.txn.init";
     { cache; staged = Hashtbl.create 16; order = []; state = Running;
-      sealed_lines = []; slot_lines = []; sealed_slots = 0; flight_ticket = -1 }
+      sealed_mark = 0; slot_mark = 0; sealed_slots = 0; flight_ticket = -1 }
 
   let set_flight_ticket h id = h.flight_ticket <- id
 
@@ -813,12 +814,13 @@ module Txn = struct
     List.rev !allocs
 
   (* Pass 2 (cannot fail): write all COW data blocks (vectored), swing
-     all entries with 16 B atomic writes, and return every dirtied line
-     — the caller decides when (and with how many peer transactions)
-     the lines are flushed.  The relative durability order of data vs.
-     entry lines within the stage is irrelevant: until Head covers the
-     blocks, recovery revokes whatever subset became durable. *)
-  let store_group t staged allocs =
+     all entries with 16 B atomic writes, and add every dirtied line to
+     [lines] — the caller decides when (and with how many peer
+     transactions) the lines are flushed.  The relative durability order
+     of data vs. entry lines within the stage is irrelevant: until Head
+     covers the blocks, recovery revokes whatever subset became
+     durable. *)
+  let store_group t lines staged allocs =
     Pmem.set_site t.pmem "commit.data";
     Pmem.writev t.pmem
       (List.map
@@ -826,15 +828,10 @@ module Txn = struct
            (Layout.data_block_off t.layout data_blk, Hashtbl.find staged blkno))
          allocs);
     Pmem.set_site t.pmem "commit.entry";
-    let lines = Hashtbl.create 64 in
-    let note_range off len =
-      for l = off / Pmem.line_size to (off + len - 1) / Pmem.line_size do
-        Hashtbl.replace lines l ()
-      done
-    in
     List.iter
       (fun (blkno, new_blk, kind) ->
-        note_range (Layout.data_block_off t.layout new_blk) t.cfg.block_size;
+        Pmem.Lineset.add_range lines ~off:(Layout.data_block_off t.layout new_blk)
+          ~len:t.cfg.block_size;
         match kind with
         | Hit info ->
             (* Write hit: COW block write (§4.3). *)
@@ -850,7 +847,7 @@ module Txn = struct
             if t.cow_pinned > t.peak_cow then t.peak_cow <- t.cow_pinned;
             let off = Layout.entry_off t.layout info.entry_idx in
             Pmem.atomic_write16 t.pmem ~off (Entry.encode (entry_of_info ~role:Entry.Log info));
-            note_range off Entry.size
+            Pmem.Lineset.add_range lines ~off ~len:Entry.size
         | Miss entry_idx ->
             (* Write miss: fresh entry, previous version = FRESH. *)
             t.write_misses <- t.write_misses + 1;
@@ -863,16 +860,15 @@ module Txn = struct
             t.pinned <- t.pinned + 1;
             let off = Layout.entry_off t.layout entry_idx in
             Pmem.atomic_write16 t.pmem ~off (Entry.encode (entry_of_info ~role:Entry.Log info));
-            note_range off Entry.size;
+            Pmem.Lineset.add_range lines ~off ~len:Entry.size;
             info.node <- Some (Lru.push_mru t.lru info);
             Hashtbl.replace t.index blkno info)
-      allocs;
-    Hashtbl.fold (fun l () acc -> l :: acc) lines []
+      allocs
   [@@pmem.defer
-    "group-commit stage A deliberately returns its dirtied lines unflushed: the caller folds \
-     every batched transaction's data + entry lines into ONE flush_lines + sfence (the point of \
-     the fence amortization), and until Head covers the blocks recovery revokes any subset that \
-     became durable"]
+    "group-commit stage A deliberately leaves its dirtied lines unflushed in the caller's set: \
+     the caller folds every batched transaction's data + entry lines into ONE flush_lines + \
+     sfence (the point of the fence amortization), and until Head covers the blocks recovery \
+     revokes any subset that became durable"]
 
   let stage_group t staged blocks =
     match blocks with
@@ -880,11 +876,12 @@ module Txn = struct
     | blocks ->
         let allocs = alloc_group t blocks in
         Trace.begin_span ~clock:t.clock "tinca.commit.stage_a";
-        let lines = store_group t staged allocs in
+        store_group t t.lines staged allocs;
         (* Stage A fence: every dirtied data and entry line, flushed once.
-           Pending flight-record lines ride the same flush burst. *)
+           Pending flight-record lines, already in the set, ride the same
+           flush burst. *)
         Pmem.set_site t.pmem "commit.flush";
-        Pmem.flush_lines t.pmem (List.rev_append (flight_take t) lines);
+        Pmem.flush_lines t.pmem t.lines;
         Pmem.sfence t.pmem;
         Trace.end_span "tinca.commit.stage_a";
         (* Stage B: slots durable (one fence); Head moves in the caller. *)
@@ -1131,10 +1128,10 @@ module Txn = struct
 
   let seal_group t h blocks =
     let allocs = alloc_group t blocks in
-    let lines = store_group t h.staged allocs in
-    let slot_lines = Ring.stage_batch t.ring blocks in
-    h.sealed_lines <- lines;
-    h.slot_lines <- slot_lines;
+    h.sealed_mark <- Pmem.Lineset.mark t.sealed;
+    h.slot_mark <- Pmem.Lineset.mark t.sealed_slots;
+    store_group t t.sealed h.staged allocs;
+    Ring.stage_batch t.ring t.sealed_slots blocks;
     h.sealed_slots <- List.length blocks
 
   let seal h =
@@ -1185,8 +1182,9 @@ module Txn = struct
     let t = h.cache in
     List.iter (fun blkno -> revoke_block t blkno) (List.rev h.order);
     Ring.unstage t.ring h.sealed_slots;
-    h.sealed_lines <- [];
-    h.slot_lines <- [];
+    (* Its lines are the newest in both sets, as its slots are on the ring. *)
+    Pmem.Lineset.truncate t.sealed h.sealed_mark;
+    Pmem.Lineset.truncate t.sealed_slots h.slot_mark;
     h.sealed_slots <- 0;
     if Ring.staged t.ring = 0 && Ring.in_flight t.ring = 0 then t.committing <- false;
     h.state <- Finished;
@@ -1209,6 +1207,12 @@ module Txn = struct
               invalid_arg "Tinca.Txn.flush_sealed: transaction not sealed";
             if h.cache != t then invalid_arg "Tinca.Txn.flush_sealed: mixed caches")
           handles;
+        let slots = List.fold_left (fun acc h -> acc + h.sealed_slots) 0 handles in
+        (* The sets hold exactly the sealed transactions' lines, so
+           flushing them is flushing the batch's only when the batch is
+           every sealed transaction of the cache. *)
+        if slots <> Ring.staged t.ring then
+          invalid_arg "Tinca.Txn.flush_sealed: batch is not every sealed transaction of its cache";
         (* Drain record: this cache's next batch id, the drain cause and
            the batch population, flushed under the stage-A fence together
            with any pending seal records. *)
@@ -1218,21 +1222,20 @@ module Txn = struct
           ~batch:t.flight_cur_batch;
         Trace.begin_span ~clock:t.clock "tinca.commit.stage_a";
         Pmem.set_site t.pmem "commit.flush";
-        Pmem.flush_lines t.pmem
-          (List.rev_append (flight_take t) (List.concat_map (fun h -> h.sealed_lines) handles));
+        Pmem.Lineset.iter_rev (Pmem.Lineset.add t.sealed) t.lines;
+        Pmem.Lineset.clear t.lines;
+        Pmem.flush_lines t.pmem t.sealed;
         Pmem.sfence t.pmem;
         Trace.end_span "tinca.commit.stage_a";
         Trace.begin_span ~clock:t.clock "tinca.commit.stage_b";
         Pmem.set_site t.pmem "ring.record";
-        Pmem.flush_lines t.pmem (List.concat_map (fun h -> h.slot_lines) handles);
+        Pmem.flush_lines t.pmem t.sealed_slots;
         Pmem.sfence t.pmem;
         Trace.end_span "tinca.commit.stage_b";
         Trace.begin_span ~clock:t.clock "tinca.commit.head";
-        flight_note t Flight.Head_advance
-          ~a:(List.fold_left (fun acc h -> acc + h.sealed_slots) 0 handles)
-          ~batch:t.flight_cur_batch;
+        flight_note t Flight.Head_advance ~a:slots ~batch:t.flight_cur_batch;
         flight_flush_into_fence t;
-        Ring.publish t.ring (List.fold_left (fun acc h -> acc + h.sealed_slots) 0 handles);
+        Ring.publish t.ring slots;
         Metrics.incr t.metrics "tinca.head_advance" ~by:1;
         Trace.end_span "tinca.commit.head"
 
@@ -1248,12 +1251,7 @@ module Txn = struct
                let blocks = List.rev h.order in
                (h, blocks, List.length blocks))
              handles);
-        List.iter
-          (fun h ->
-            h.sealed_lines <- [];
-            h.slot_lines <- [];
-            h.sealed_slots <- 0)
-          handles;
+        List.iter (fun h -> h.sealed_slots <- 0) handles;
         maybe_clean h0.cache
 
   (* Failure injection for tests and the crash-space checker: run the

@@ -278,7 +278,8 @@ module Txn : sig
 
   (** One stage-A flush+fence, one slot flush+fence and one Head
       persist covering every sealed handle in the list (seal order).
-      All handles must be sealed on the same cache.  [cause] (default
+      The list must hold every transaction sealed on its cache, and
+      nothing else ([Invalid_argument] otherwise).  [cause] (default
       [Barrier]) labels this drain in the flight recorder's
       [Batch_drain] record; it has no effect on the commit protocol. *)
   val flush_sealed : ?cause:Tinca_obs.Flight.cause -> handle list -> unit

@@ -216,7 +216,6 @@ type shard_state = {
   free_frames : Free_monitor.t;
   free_slots : Free_monitor.t;
   flight : Flight.cursor option;
-  mutable flight_dirty : int list;  (* record lines awaiting a fence *)
   mutable flight_scan : ((int * Flight.event) list * int) option;
   mutable swings : int;  (* table-entry atomic swings *)
   mutable epoch_bumps : int;
@@ -231,6 +230,9 @@ type t = {
   metrics : Metrics.t;
   nshards : int;
   shards : shard_state array;
+  (* The flush batch of every commit, unstage, recovery and format
+     stage, reused; flight records wait here for the next stage flush. *)
+  lines : Pmem.Lineset.t;
   txn_sizes : Histogram.t;
   mutable read_hits : int;
   mutable read_misses : int;
@@ -264,8 +266,8 @@ let set_fault f = fault := f
 (* --- flight recorder ----------------------------------------------------- *)
 
 (* Same contract as the logging scheme's recorder: a record is a
-   volatile 64 B store whose line is parked in [flight_dirty] and folded
-   into the commit path's next existing flush+fence — zero added fences. *)
+   volatile 64 B store whose line waits in the flush batch [t.lines] for
+   the commit path's next existing flush+fence — zero added fences. *)
 let flight_note t s ?(batch = -1) ?(cause = Flight.Sync) ?(a = 0) ?(b = 0) ?(c = 0) ?(d = 0) kind =
   match s.flight with
   | None -> ()
@@ -283,18 +285,13 @@ let flight_note t s ?(batch = -1) ?(cause = Flight.Sync) ?(a = 0) ?(b = 0) ?(c =
       let off = flight_slot_off s.geom (Flight.slot_of cur) in
       Pmem.write t.pmem ~off (Flight.encode ~seq:cur.Flight.seq ev);
       cur.Flight.seq <- cur.Flight.seq + 1;
-      s.flight_dirty <- (off / Pmem.line_size) :: s.flight_dirty;
+      Pmem.Lineset.add t.lines (off / Pmem.line_size);
       Metrics.incr t.metrics "tinca.flight.records" ~by:1;
       Pmem.set_site t.pmem site
 [@@pmem.defer
-  "a flight record is deliberately left unflushed: the dirtied line is parked in flight_dirty \
-   until the paging commit path folds it into its next existing flush+fence (zero added \
+  "a flight record is deliberately left unflushed: the dirtied line waits in the flush batch \
+   until the paging commit path flushes it with its next existing flush+fence (zero added \
    fences); a record torn by a crash fails its CRC and is dropped by Flight.scan"]
-
-let flight_take s =
-  let lines = s.flight_dirty in
-  s.flight_dirty <- [];
-  lines
 
 let flight_enabled t = Array.exists (fun s -> s.flight <> None) t.shards
 
@@ -302,14 +299,6 @@ let flight_scans t =
   Array.map (fun s -> match s.flight_scan with Some r -> r | None -> ([], 0)) t.shards
 
 (* --- formatting ---------------------------------------------------------- *)
-
-let line_of off = off / Pmem.line_size
-
-let lines_of_range ~off ~len =
-  if len <= 0 then []
-  else
-    let first = line_of off and last = line_of (off + len - 1) in
-    List.init (last - first + 1) (fun i -> first + i)
 
 let write_super t g =
   let b = Bytes.make 64 '\000' in
@@ -333,7 +322,6 @@ let mk_shard_state (cfg : config) (g : geom) =
     free_frames = Free_monitor.create ~n:g.nframes ();
     free_slots = Free_monitor.create ~n:g.nframes ();
     flight = (if cfg.flight_slots > 0 then Some (Flight.cursor ~slots:cfg.flight_slots) else None);
-    flight_dirty = [];
     flight_scan = None;
     swings = 0;
     epoch_bumps = 0;
@@ -349,6 +337,7 @@ let mk_t ~cfg ~pmem ~disk ~clock ~metrics ~nshards shards =
     metrics;
     nshards;
     shards;
+    lines = Pmem.Lineset.create ();
     txn_sizes = Histogram.create ();
     read_hits = 0;
     read_misses = 0;
@@ -387,13 +376,12 @@ let format ~nshards ~config:cfg ~pmem ~disk ~clock ~metrics =
   let shards = Array.map (mk_shard_state cfg) geoms in
   let t = mk_t ~cfg ~pmem ~disk ~clock ~metrics ~nshards shards in
   Pmem.set_site pmem "paging.format";
-  let lines = ref [] in
   if nshards > 1 then begin
     let hdr = Bytes.make header_bytes '\000' in
     Codec.set_u64 hdr 0 dir_magic;
     Codec.set_u32 hdr 8 nshards;
     Pmem.write pmem ~off:0 hdr;
-    lines := List.rev_append (lines_of_range ~off:0 ~len:header_bytes) !lines
+    Pmem.Lineset.add_range t.lines ~off:0 ~len:header_bytes
   end;
   Array.iter
     (fun s ->
@@ -404,13 +392,11 @@ let format ~nshards ~config:cfg ~pmem ~disk ~clock ~metrics =
          nonzero slot would decode as a live mapping after recovery. *)
       let zero_len = g.pool_off - g.flight_off in
       Pmem.fill pmem ~off:(g.base + g.flight_off) ~len:zero_len '\000';
-      lines :=
-        lines_of_range ~off:g.base ~len:64
-        @ lines_of_range ~off:(g.base + g.epoch_off) ~len:8
-        @ lines_of_range ~off:(g.base + g.flight_off) ~len:zero_len
-        @ !lines)
+      Pmem.Lineset.add_range t.lines ~off:g.base ~len:64;
+      Pmem.Lineset.add_range t.lines ~off:(g.base + g.epoch_off) ~len:8;
+      Pmem.Lineset.add_range t.lines ~off:(g.base + g.flight_off) ~len:zero_len)
     shards;
-  Pmem.flush_lines pmem !lines;
+  Pmem.flush_lines pmem t.lines;
   Pmem.sfence pmem;
   t
 
@@ -547,7 +533,6 @@ let write_entry t s ~slot e =
    since the epoch word never moved, but fenced here anyway so no table
    line is left volatile across a later commit point. *)
 let unstage t staged =
-  let lines = ref [] in
   List.iter
     (fun st ->
       let s = t.shards.(st.st_shard) in
@@ -556,23 +541,23 @@ let unstage t staged =
       | Some p when p.p_slot >= 0 ->
           write_entry t s ~slot:p.p_slot
             (committed_entry ~blkno:p.p_blkno ~frame:p.p_frame ~epoch:s.epoch);
-          lines := List.rev_append (lines_of_range ~off:(entry_off s.geom p.p_slot) ~len:entry_size) !lines
+          Pmem.Lineset.add_range t.lines ~off:(entry_off s.geom p.p_slot) ~len:entry_size
       | Some _ -> ()
       | None ->
           Pmem.atomic_write16 t.pmem ~off:(entry_off s.geom st.st_slot)
             (Bytes.make entry_size '\000');
           s.swings <- s.swings + 1;
           Free_monitor.free s.free_slots st.st_slot;
-          lines := List.rev_append (lines_of_range ~off:(entry_off s.geom st.st_slot) ~len:entry_size) !lines);
+          Pmem.Lineset.add_range t.lines ~off:(entry_off s.geom st.st_slot) ~len:entry_size);
       match st.st_old with Some p -> p.p_pinned <- false | None -> ())
     staged;
-  if !lines <> [] then (
-    Pmem.flush_lines t.pmem !lines;
+  if not (Pmem.Lineset.is_empty t.lines) then (
+    Pmem.flush_lines t.pmem t.lines;
     Pmem.sfence t.pmem)
 [@@pmem.defer
   "every rewritten entry line is fenced by the guarded flush_lines + sfence: the guard \
-   `lines <> []` is true exactly when an entry was rewritten, which the syntactic dataflow \
-   cannot correlate"]
+   `not (Lineset.is_empty t.lines)` is true exactly when an entry was rewritten, which the \
+   syntactic dataflow cannot correlate"]
 
 (* Publish a write-set: COW every page into a free frame, swing every
    table entry under epoch E+1, fence once, then swing the epoch word(s).
@@ -634,7 +619,7 @@ let publish t writes ~cause =
       end;
       (* Stage: COW data into fresh frames, swing entries under E+1. *)
       let staged = ref [] in
-      let lines = ref [] in
+      let mark = Pmem.Lineset.mark t.lines in
       (try
          List.iter
            (fun (blkno, data) ->
@@ -658,7 +643,7 @@ let publish t writes ~cause =
              in
              Pmem.set_site t.pmem "paging.cow";
              Pmem.write t.pmem ~off:(frame_off s.geom frame) data;
-             lines := List.rev_append (lines_of_range ~off:(frame_off s.geom frame) ~len:s.geom.block_size) !lines;
+             Pmem.Lineset.add_range t.lines ~off:(frame_off s.geom frame) ~len:s.geom.block_size;
              let has_old = match old with Some p when p.p_slot >= 0 -> true | _ -> false in
              let frame_a = match old with Some p when p.p_slot >= 0 -> p.p_frame | _ -> 0 in
              Pmem.set_site t.pmem "paging.swing";
@@ -671,10 +656,13 @@ let publish t writes ~cause =
                  e_blkno = blkno;
                  e_epoch = s.epoch + 1;
                };
-             lines := List.rev_append (lines_of_range ~off:(entry_off s.geom slot) ~len:entry_size) !lines;
+             Pmem.Lineset.add_range t.lines ~off:(entry_off s.geom slot) ~len:entry_size;
              staged := { st_shard = sh; st_blkno = blkno; st_slot = slot; st_frame = frame; st_old = old } :: !staged)
            writes
        with Transaction_too_large ->
+         (* The partial stage's lines are dead: unstage flushes only the
+            entries it rewrites. *)
+         Pmem.Lineset.truncate t.lines mark;
          unstage t !staged;
          unpin ();
          raise Transaction_too_large);
@@ -683,13 +671,12 @@ let publish t writes ~cause =
       List.iter
         (fun sh ->
           let s = t.shards.(sh) in
-          flight_note t s ~cause ~a:(List.length (Hashtbl.find by_shard sh)) Flight.Batch_drain;
-          lines := List.rev_append (flight_take s) !lines)
+          flight_note t s ~cause ~a:(List.length (Hashtbl.find by_shard sh)) Flight.Batch_drain)
         shard_ids;
       (* Stage fence: all COW pages + staged entries durable, still dead
          (every staged entry sits above the durable epoch word). *)
       Pmem.set_site t.pmem "paging.stage_fence";
-      Pmem.flush_lines t.pmem !lines;
+      Pmem.flush_lines t.pmem t.lines;
       Pmem.sfence t.pmem;
       (* Commit point.  Single shard: ONE atomic swing of the epoch word.
          Multi-shard: seal the union mask first (the existing cross-shard
@@ -703,18 +690,15 @@ let publish t writes ~cause =
         t.seals <- t.seals + 1
       end;
       Pmem.set_site t.pmem "paging.epoch_swing";
-      let epoch_lines = ref [] in
       List.iter
         (fun sh ->
           let s = t.shards.(sh) in
           Pmem.atomic_write8_int t.pmem ~off:(s.geom.base + s.geom.epoch_off) (s.epoch + 1);
           s.epoch_bumps <- s.epoch_bumps + 1;
-          flight_note t s ~cause ~a:(s.epoch + 1) Flight.Tail_persist;
-          epoch_lines :=
-            lines_of_range ~off:(s.geom.base + s.geom.epoch_off) ~len:8
-            @ List.rev_append (flight_take s) !epoch_lines)
+          Pmem.Lineset.add_range t.lines ~off:(s.geom.base + s.geom.epoch_off) ~len:8;
+          flight_note t s ~cause ~a:(s.epoch + 1) Flight.Tail_persist)
         shard_ids;
-      Pmem.flush_lines t.pmem !epoch_lines;
+      Pmem.flush_lines t.pmem t.lines;
       Pmem.sfence t.pmem;
       if multi then begin
         Pmem.set_site t.pmem "paging.seal_clear";
@@ -864,7 +848,6 @@ let recover_shard t ~shard_id ~roll_forward =
   flight_note t s ~a:epoch ~c:(match s.flight_scan with Some (r, _) -> List.length r | None -> 0)
     Flight.Recovery_start;
   (* Resolve the staged generation. *)
-  let lines = ref [] in
   let bumped =
     roll_forward && !staged <> []
   in
@@ -873,7 +856,7 @@ let recover_shard t ~shard_id ~roll_forward =
        durable before the seal, so adopting it is safe and idempotent. *)
     Pmem.set_site t.pmem "paging.recover";
     Pmem.atomic_write8_int t.pmem ~off:(g.base + g.epoch_off) (epoch + 1);
-    lines := List.rev_append (lines_of_range ~off:(g.base + g.epoch_off) ~len:8) !lines;
+    Pmem.Lineset.add_range t.lines ~off:(g.base + g.epoch_off) ~len:8;
     live := !staged @ !live;
     List.iter
       (fun (_, e) -> flight_note t s ~a:0 ~b:e.e_blkno Flight.Recovery_decision)
@@ -892,7 +875,7 @@ let recover_shard t ~shard_id ~roll_forward =
            Pmem.atomic_write16 t.pmem ~off:(entry_off g slot) (Bytes.make entry_size '\000');
            s.swings <- s.swings + 1
          end);
-        lines := List.rev_append (lines_of_range ~off:(entry_off g slot) ~len:entry_size) !lines;
+        Pmem.Lineset.add_range t.lines ~off:(entry_off g slot) ~len:entry_size;
         flight_note t s ~a:1 ~b:e.e_blkno Flight.Recovery_decision;
         if e.e_has_old then live := (slot, { e with e_has_old = false; e_frame_a = 0; e_frame_b = e.e_frame_a; e_epoch = epoch }) :: !live)
       !staged;
@@ -907,15 +890,14 @@ let recover_shard t ~shard_id ~roll_forward =
       Free_monitor.mark_used s.free_slots slot;
       s.dirty_count <- s.dirty_count + 1)
     !live;
-  lines := List.rev_append (flight_take s) !lines;
-  if !lines <> [] then begin
-    Pmem.flush_lines t.pmem !lines;
+  if not (Pmem.Lineset.is_empty t.lines) then begin
+    Pmem.flush_lines t.pmem t.lines;
     Pmem.sfence t.pmem
   end
 [@@pmem.defer
   "every roll-back/roll-forward entry rewrite and flight record is fenced by the guarded \
-   flush_lines + sfence: the guard `lines <> []` is true exactly when recovery rewrote \
-   media, which the syntactic dataflow cannot correlate"]
+   flush_lines + sfence: the guard `not (Lineset.is_empty t.lines)` is true exactly when \
+   recovery rewrote media, which the syntactic dataflow cannot correlate"]
 
 let recover ~pmem ~disk ~clock ~metrics () =
   let metrics_ = metrics in

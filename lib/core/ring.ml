@@ -11,12 +11,14 @@ type t = {
   (* Slots written past Head by [stage_batch] but not yet covered by a
      [publish] — volatile state of the group committer's pending batch. *)
   mutable staged : int;
+  (* [record_batch]'s flush batch, reused across calls. *)
+  lines : Pmem.Lineset.t;
 }
 
 let attach ~pmem ~layout =
   let head = Pmem.read_u64_int pmem ~off:layout.Layout.head_off in
   let tail = Pmem.read_u64_int pmem ~off:layout.Layout.tail_off in
-  { pmem; layout; head; tail; hwm = head - tail; staged = 0 }
+  { pmem; layout; head; tail; hwm = head - tail; staged = 0; lines = Pmem.Lineset.create () }
 
 let slots t = t.layout.Layout.ring_slots
 let head t = t.head
@@ -55,42 +57,37 @@ let record_batch t blknos =
       if in_flight t + t.staged + n > slots t then
         invalid_arg "Ring.record_batch: ring buffer full";
       Pmem.set_site t.pmem "ring.record";
-      let lines =
-        List.mapi
-          (fun i blkno ->
-            let off = Layout.ring_slot_off t.layout (t.head + t.staged + i) in
-            Pmem.atomic_write8_int t.pmem ~off blkno;
-            off / Pmem.line_size)
-          blknos
-      in
-      Pmem.flush_lines t.pmem lines;
+      List.iteri
+        (fun i blkno ->
+          let off = Layout.ring_slot_off t.layout (t.head + t.staged + i) in
+          Pmem.atomic_write8_int t.pmem ~off blkno;
+          Pmem.Lineset.add t.lines (off / Pmem.line_size))
+        blknos;
+      Pmem.flush_lines t.pmem t.lines;
       Pmem.sfence t.pmem
 
 (* Volatile half of [record_batch] for the group committer: stage one
    slot per block past any previously staged slots, without flushing or
-   fencing, and return the dirtied line indices so the caller can fold
-   many transactions' slots into one [Pmem.flush_lines] + fence.  The
+   fencing, and add the dirtied line indices to [lines] so the caller can
+   fold many transactions' slots into one [Pmem.flush_lines] + fence.  The
    atomic slot writes cannot tear, so an unflushed staged slot either
    survives a crash with its full value or reverts — and Head excludes
    it either way. *)
-let stage_batch t blknos =
+let stage_batch t lines blknos =
   match blknos with
-  | [] -> []
+  | [] -> ()
   | blknos ->
       let n = List.length blknos in
       if in_flight t + t.staged + n > slots t then
         invalid_arg "Ring.stage_batch: ring buffer full";
       Pmem.set_site t.pmem "ring.record";
-      let lines =
-        List.mapi
-          (fun i blkno ->
-            let off = Layout.ring_slot_off t.layout (t.head + t.staged + i) in
-            Pmem.atomic_write8_int t.pmem ~off blkno;
-            off / Pmem.line_size)
-          blknos
-      in
-      t.staged <- t.staged + n;
-      lines
+      List.iteri
+        (fun i blkno ->
+          let off = Layout.ring_slot_off t.layout (t.head + t.staged + i) in
+          Pmem.atomic_write8_int t.pmem ~off blkno;
+          Pmem.Lineset.add lines (off / Pmem.line_size))
+        blknos;
+      t.staged <- t.staged + n
 [@@pmem.defer
   "volatile half of record_batch: the staged slots are deliberately left unflushed so the group \
    committer can fold many transactions' slots into one flush_lines + fence; the 8 B atomic slot \

@@ -38,17 +38,18 @@ val record : t -> int -> unit
     Raises [Invalid_argument] if the batch does not fit. *)
 val record_batch : t -> int list -> unit
 
-(** [stage_batch t blknos] — the volatile half of {!record_batch} for
-    the multi-transaction group committer: stage one slot per block past
-    Head and any previously staged slots (atomic 8 B writes, {e no}
-    flush, {e no} fence) and return the dirtied line indices.  The
-    caller folds many transactions' lines into one [Pmem.flush_lines] +
-    fence before a single {!publish} covering them all.  Staged-but-
-    unpublished slots are volatile batch state: {!publish} consumes
-    them, {!rewind_head}/{!reload}/{!format} discard them, and the
-    fullness checks account for them.  Raises [Invalid_argument] if the
-    batch does not fit. *)
-val stage_batch : t -> int list -> int list
+(** [stage_batch t lines blknos] — the volatile half of {!record_batch}
+    for the multi-transaction group committer: stage one slot per block
+    past Head and any previously staged slots (atomic 8 B writes, {e no}
+    flush, {e no} fence) and add the dirtied line indices to [lines].
+    The caller folds many transactions' lines into one
+    [Pmem.flush_lines] + fence before a single {!publish} covering them
+    all.  Staged-but-unpublished slots are volatile batch state:
+    {!publish} consumes them, {!rewind_head}/{!reload}/{!format} discard
+    them, and the fullness checks account for them.  Raises
+    [Invalid_argument] if the batch does not fit, before writing or
+    adding anything. *)
+val stage_batch : t -> Tinca_pmem.Pmem.Lineset.t -> int list -> unit
 
 (** Slots written by {!stage_batch} but not yet covered by {!publish}. *)
 val staged : t -> int

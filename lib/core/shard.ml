@@ -200,13 +200,13 @@ let format ~nshards ~config ~pmem ~disk ~clock ~metrics =
    rolls forward again.  Runs on raw media, before any cache attaches. *)
 let roll_forward ~pmem ~nshards ~span ~mask ~clock =
   Pmem.set_site pmem "shard.roll_forward";
+  let lines = Pmem.Lineset.create () in
   for i = 0 to nshards - 1 do
     if mask land (1 lsl i) <> 0 then begin
       let base = base_of ~span i in
       let layout = Cache.read_layout ~base ~mem_bytes:(base + span) pmem in
       let head = Pmem.read_u64_int pmem ~off:layout.Layout.head_off in
       let tail = Pmem.read_u64_int pmem ~off:layout.Layout.tail_off in
-      let lines = ref [] in
       (* Flight recorder, raw-media edition: roll-forward runs before any
          cache attaches, so it appends its replay decisions directly —
          continuing the survivor sequence and riding the role-switch
@@ -241,7 +241,7 @@ let roll_forward ~pmem ~nshards ~span ~mask ~clock =
           in
           let off = Layout.flight_slot_off layout !flight_seq in
           Pmem.write pmem ~off (Flight.encode ~seq:!flight_seq ev);
-          lines := (off / Pmem.line_size) :: !lines
+          Pmem.Lineset.add lines (off / Pmem.line_size)
         end
       in
       for idx = 0 to layout.Layout.nblocks - 1 do
@@ -249,14 +249,14 @@ let roll_forward ~pmem ~nshards ~span ~mask ~clock =
         let e = Entry.decode (Pmem.read pmem ~off ~len:Entry.size) in
         if e.Entry.valid && e.Entry.role = Entry.Log then begin
           Pmem.atomic_write16 pmem ~off (Entry.encode { e with Entry.role = Entry.Buffer });
-          lines := (off / Pmem.line_size) :: !lines;
+          Pmem.Lineset.add lines (off / Pmem.line_size);
           flight_decision e.Entry.disk_blkno
         end
       done;
       (* Role switches fenced durable strictly before the Tail advance,
          exactly as in the live commit path. *)
-      if !lines <> [] then begin
-        Pmem.flush_lines pmem (List.sort_uniq compare !lines);
+      if not (Pmem.Lineset.is_empty lines) then begin
+        Pmem.flush_lines pmem lines;
         Pmem.sfence pmem
       end;
       if tail <> head then begin
@@ -268,9 +268,9 @@ let roll_forward ~pmem ~nshards ~span ~mask ~clock =
   persist_seal pmem 0
 [@@pmem.defer
   "every mutated range is persisted in-loop: role switches are fenced by the guarded \
-   flush_lines+sfence (the guard `lines <> []` is true exactly when a switch was written, which \
-   the syntactic dataflow cannot correlate), the Tail advance by its own persist, and the seal \
-   retirement by persist_seal"]
+   flush_lines+sfence (the guard `not (Lineset.is_empty lines)` is true exactly when a switch \
+   was written, which the syntactic dataflow cannot correlate), the Tail advance by its own \
+   persist, and the seal retirement by persist_seal"]
 
 (* Media without the shard directory magic is a plain unsharded Cache
    (the N=1 format above, or pre-sharding media): recover it as one

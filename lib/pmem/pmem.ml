@@ -173,6 +173,45 @@ let sort_prefix a n =
     sift_down a 0 last
   done
 
+(* A flush batch: line indices in the order they were added, duplicates
+   kept, in an array that is allocated on the first add, doubles when
+   full and is never shrunk, so a warm set takes lines without allocating
+   and an unused one costs nothing.  [flush_lines] sorts and deduplicates
+   it in place. *)
+module Lineset = struct
+  type t = { mutable lines : int array; mutable len : int }
+
+  let create () = { lines = [||]; len = 0 }
+
+  let add s idx =
+    if s.len = Array.length s.lines then begin
+      let lines = Array.make (max initial_capacity (2 * s.len)) 0 in
+      Array.blit s.lines 0 lines 0 s.len;
+      s.lines <- lines
+    end;
+    s.lines.(s.len) <- idx;
+    s.len <- s.len + 1
+
+  let add_range s ~off ~len =
+    if len > 0 then
+      for idx = off / line_size to (off + len - 1) / line_size do
+        add s idx
+      done
+
+  let clear s = s.len <- 0
+  let is_empty s = s.len = 0
+  let mark s = s.len
+
+  let truncate s m =
+    if m < 0 || m > s.len then invalid_arg "Pmem.Lineset.truncate: mark beyond the set";
+    s.len <- m
+
+  let iter_rev f s =
+    for i = s.len - 1 downto 0 do
+      f s.lines.(i)
+    done
+end
+
 let order_scratch t =
   if Array.length t.order < t.ndirty then t.order <- Array.make (Array.length t.dirty) 0;
   t.order
@@ -338,18 +377,19 @@ let clflush t ~off ~len =
    an arbitrary (deduplicated) line set, so batched callers stop paying
    a separate serialized [clflush] call per line.  Each line is its own
    instruction — its own crash-countdown event and observer event — but
-   the burst is charged with the pipelined batch cost. *)
-let flush_lines t lines =
-  let lines = Array.of_list lines in
-  Array.sort Int.compare lines;
+   the burst is charged with the pipelined batch cost.  The set is
+   emptied up front, so it is empty afterwards however the call ends. *)
+let flush_lines t (set : Lineset.t) =
+  let n = set.len and lines = set.lines in
+  Lineset.clear set;
+  sort_prefix lines n;
   let total = Bytes.length t.media / line_size in
-  Array.iter
-    (fun idx ->
-      if idx < 0 || idx >= total then
-        invalid_arg (Printf.sprintf "Pmem.flush_lines: line %d out of bounds (device has %d)" idx total))
-    lines;
+  if n > 0 && (lines.(0) < 0 || lines.(n - 1) >= total) then begin
+    let idx = if lines.(0) < 0 then lines.(0) else lines.(n - 1) in
+    invalid_arg (Printf.sprintf "Pmem.flush_lines: line %d out of bounds (device has %d)" idx total)
+  end;
   let dirtied = ref 0 and issued = ref 0 in
-  for i = 0 to Array.length lines - 1 do
+  for i = 0 to n - 1 do
     let idx = lines.(i) in
     if i = 0 || idx <> lines.(i - 1) then begin
       event t;

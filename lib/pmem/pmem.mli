@@ -105,15 +105,51 @@ val read_u64_int : t -> off:int -> int
     the issue slot — {!Tinca_sim.Latency.flush_batch_ns}). *)
 val clflush : t -> off:int -> len:int -> unit
 
-(** [flush_lines t lines] — scatter-gather flush: one pipelined burst of
-    per-line flushes over an arbitrary line-index set (deduplicated and
-    sorted internally).  Semantically identical to one [clflush] per
+(** A reusable flush batch: the cache-line indices a commit stage has
+    dirtied, gathered for one {!flush_lines}.  Lines are appended in any
+    order, duplicates allowed.  The storage grows by doubling and is kept
+    when the set is emptied, so a warm set takes lines without
+    allocating. *)
+module Lineset : sig
+  type t
+
+  val create : unit -> t
+
+  (** [add s idx] appends line [idx].  Bounds are checked by
+      {!flush_lines}, not here. *)
+  val add : t -> int -> unit
+
+  (** [add_range s ~off ~len] appends every line intersecting the byte
+      range [\[off, off + len)]; nothing when [len <= 0]. *)
+  val add_range : t -> off:int -> len:int -> unit
+
+  val clear : t -> unit
+  val is_empty : t -> bool
+
+  (** The number of lines added since the set was last emptied: a mark
+      to {!truncate} back to. *)
+  val mark : t -> int
+
+  (** [truncate s m] drops every line added after [mark s] returned [m].
+      Raises [Invalid_argument] when [m] is negative or beyond the set. *)
+  val truncate : t -> int -> unit
+
+  (** [iter_rev f s] applies [f] to every added line, newest first,
+      duplicates included. *)
+  val iter_rev : (int -> unit) -> t -> unit
+end
+
+(** [flush_lines t set] — scatter-gather flush: one pipelined burst of
+    per-line flushes over [set], sorted and deduplicated in place, in
+    ascending line order.  Semantically identical to one [clflush] per
     line — each line is its own instruction, crash-countdown event and
     observer [Clflush] event — but the burst is charged with the batch
     cost, so [Clflushopt]/[Clwb] callers stop paying the serialized
     per-call latency.  Raises [Invalid_argument] on an out-of-bounds
-    line index (before issuing anything). *)
-val flush_lines : t -> int list -> unit
+    line index, before issuing anything.  [set] is empty afterwards,
+    however the call ends.  Unobserved, a flush allocates the same few
+    words (the clock charge) whatever the set's size. *)
+val flush_lines : t -> Lineset.t -> unit
 
 (** Ordering + durability point: all flush-pending lines reach the medium. *)
 val sfence : t -> unit

@@ -438,7 +438,8 @@ let flush_pending ?(cause = Flight.Barrier) t =
   | newest_first ->
       let batch = List.rev newest_first in
       t.group.pending <- [];
-      Hashtbl.reset t.group.pending_blocks;
+      (* [clear], not [reset]: the table keeps the buckets the batch grew. *)
+      Hashtbl.clear t.group.pending_blocks;
       t.group.pending_slots <- 0;
       t.group.batches <- t.group.batches + 1;
       (let key = Flight.cause_name cause in

@@ -283,6 +283,11 @@ let test_ring_batch_fence_economy () =
 
 (* --- Pmem.flush_lines / writev ------------------------------------------ *)
 
+let lineset lines =
+  let s = Pmem.Lineset.create () in
+  List.iter (Pmem.Lineset.add s) lines;
+  s
+
 let test_flush_lines_semantics () =
   let env = mk_env ~pmem_bytes:(64 * 1024) () in
   let p = env.pmem in
@@ -291,7 +296,7 @@ let test_flush_lines_semantics () =
   let flushes = Metrics.get env.metrics "pmem.clflush" in
   let wb = Metrics.get env.metrics "pmem.clflush_writebacks" in
   (* Duplicates collapse: three requests, two issued flushes. *)
-  Pmem.flush_lines p [ 3; 1; 1 ];
+  Pmem.flush_lines p (lineset [ 3; 1; 1 ]);
   Alcotest.(check int) "deduplicated issue" (flushes + 2) (Metrics.get env.metrics "pmem.clflush");
   Alcotest.(check int) "both write-backs started" (wb + 2)
     (Metrics.get env.metrics "pmem.clflush_writebacks");
@@ -305,7 +310,7 @@ let test_flush_lines_bounds () =
   let flushes = Metrics.get env.metrics "pmem.clflush" in
   Alcotest.(check bool) "out-of-bounds line rejected" true
     (try
-       Pmem.flush_lines env.pmem [ 0; 64 * 1024 / 64 ];
+       Pmem.flush_lines env.pmem (lineset [ 0; 64 * 1024 / 64 ]);
        false
      with Invalid_argument _ -> true);
   Alcotest.(check int) "nothing issued" flushes (Metrics.get env.metrics "pmem.clflush")
@@ -323,7 +328,7 @@ let test_flush_lines_pipelining () =
       Pmem.write p ~off:(l * 64) (Bytes.make 64 'x')
     done;
     let t0 = Clock.now_ns clock in
-    if batched then Pmem.flush_lines p [ 0; 1; 2; 3; 4; 5; 6; 7 ]
+    if batched then Pmem.flush_lines p (lineset [ 0; 1; 2; 3; 4; 5; 6; 7 ])
     else
       for l = 0 to 7 do
         Pmem.clflush p ~off:(l * 64) ~len:64
@@ -445,6 +450,51 @@ let test_writev_validates_before_writing () =
   Alcotest.(check string) "no partial scatter" "\000\000\000\000"
     (Bytes.to_string (Pmem.read p ~off:0 ~len:4))
 
+(* --- Host allocation of a commit ------------------------------------------ *)
+
+(* A warm facade's synchronous 64-block commit allocates a bounded number
+   of minor words per block under either commit scheme: the flush batches
+   of every commit stage are reused sets, not per-line lists.  Rewriting
+   the same 64 blocks keeps every commit a write hit, so the cache state
+   is the same from one commit to the next. *)
+let test_commit_allocation () =
+  Tinca_obs.Trace.disable ();
+  let nblocks = 64 and budget = 160 in
+  let words scheme =
+    let clock = Clock.create () in
+    let metrics = Metrics.create () in
+    let pmem = Pmem.create ~clock ~metrics ~tech:Latency.Pcm ~size:(4 * 1024 * 1024) () in
+    let disk = Disk.create ~clock ~metrics ~kind:Latency.Ssd ~nblocks:1024 ~block_size:4096 in
+    let config =
+      { Tinca.Config.default with Tinca.Config.nvm_bytes = 4 * 1024 * 1024; commit_scheme = scheme }
+    in
+    let tc = Tinca.ok_exn (Tinca.format ~config ~pmem ~disk ~clock ~metrics) in
+    let data = Bytes.make 4096 'a' in
+    let commit () =
+      let txn = Tinca.init_txn tc in
+      for b = 0 to nblocks - 1 do
+        Tinca.ok_exn (Tinca.write txn b data)
+      done;
+      let w0 = Gc.minor_words () in
+      Tinca.ok_exn (Tinca.commit txn);
+      Gc.minor_words () -. w0
+    in
+    for _ = 1 to 3 do
+      ignore (commit () : float)
+    done;
+    int_of_float (commit ()) / nblocks
+  in
+  List.iter
+    (fun (name, scheme) ->
+      let w = words scheme in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d minor words per block <= %d" name w budget)
+        true (w <= budget))
+    [
+      ("logging", Tinca.Config.Logging Tinca.Batched);
+      ("paging", Tinca.Config.Paging Tinca.Config.default_page_cfg);
+    ]
+
 let suite =
   [
     ( "core.persistence_budget",
@@ -458,6 +508,7 @@ let suite =
           test_per_block_baseline_exceeds_budget;
         Alcotest.test_case "flush_all is one fence" `Quick test_flush_all_single_fence;
         Alcotest.test_case "group-commit allocation rollback" `Quick test_group_alloc_rollback;
+        Alcotest.test_case "commit allocation per block" `Quick test_commit_allocation;
       ] );
     ( "core.ring_batch",
       [

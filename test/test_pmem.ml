@@ -507,7 +507,7 @@ let crash_select_both m p ~survive =
   Pmem.crash_select p ~survive:(fun idx -> asked := idx :: !asked; survive idx);
   Alcotest.(check (list int)) "crash_select draw order" (List.rev !asked_ref) (List.rev !asked)
 
-let random_step g (m : Ref_pmem.t) p snaps =
+let random_step g (m : Ref_pmem.t) p set snaps =
   let int n = Tinca_util.Rng.int g n in
   let size = Bytes.length m.media and lines = Bytes.length m.media / 64 in
   let range max_len =
@@ -555,7 +555,10 @@ let random_step g (m : Ref_pmem.t) p snaps =
       (* Unsorted, with duplicates. *)
       let l = List.init (int 13) (fun _ -> int lines) in
       let l = l @ List.filteri (fun i _ -> i mod 2 = 0) l in
-      both "flush_lines" (fun () -> Ref_pmem.flush_lines m l) (fun () -> Pmem.flush_lines p l)
+      both "flush_lines" (fun () -> Ref_pmem.flush_lines m l) (fun () ->
+          List.iter (Pmem.Lineset.add set) l;
+          Pmem.flush_lines p set);
+      Alcotest.(check bool) "flush_lines empties the set" true (Pmem.Lineset.is_empty set)
   | r when r < 78 -> both "sfence" (fun () -> Ref_pmem.sfence m) (fun () -> Pmem.sfence p)
   | r when r < 81 ->
       let seed = int 1000 in
@@ -588,8 +591,9 @@ let test_differential_random () =
       let p, clock, metrics = mk ~size:(96 * 64) ~seed () in
       let m = Ref_pmem.create ~seed ~size:(96 * 64) in
       let g = Tinca_util.Rng.create (1000 + seed) and snaps = ref None in
+      let set = Pmem.Lineset.create () in
       for step = 1 to 600 do
-        random_step g m p snaps;
+        random_step g m p set snaps;
         check_same (Printf.sprintf "seed %d step %d" seed step) m p clock metrics
       done)
     [ 1; 2; 3; 4; 5 ]
@@ -617,7 +621,9 @@ let test_differential_large () =
   check "17000 dirty";
   let third = List.filteri (fun i _ -> i mod 3 = 0) (Array.to_list (Array.sub order 0 17_000)) in
   Ref_pmem.flush_lines m third;
-  Pmem.flush_lines p third;
+  (let set = Pmem.Lineset.create () in
+   List.iter (Pmem.Lineset.add set) third;
+   Pmem.flush_lines p set);
   Ref_pmem.sfence m;
   Pmem.sfence p;
   store 0 (Bytes.make 4096 'z');
@@ -637,11 +643,142 @@ let test_differential_large () =
   Pmem.crash p;
   check "unseeded crash after restore"
 
+(* --- flush batches ------------------------------------------------------- *)
+
+let test_lineset_marks () =
+  let set = Pmem.Lineset.create () in
+  let contents () =
+    let acc = ref [] in
+    Pmem.Lineset.iter_rev (fun l -> acc := l :: !acc) set;
+    !acc
+  in
+  Alcotest.(check bool) "fresh set is empty" true (Pmem.Lineset.is_empty set);
+  Pmem.Lineset.add set 3;
+  Pmem.Lineset.add set 1;
+  Pmem.Lineset.add set 1;
+  let mark = Pmem.Lineset.mark set in
+  Alcotest.(check int) "mark counts every add" 3 mark;
+  (* Bytes [130, 200) touch lines 2 and 3; an empty range touches none. *)
+  Pmem.Lineset.add_range set ~off:130 ~len:70;
+  Pmem.Lineset.add_range set ~off:640 ~len:0;
+  Alcotest.(check (list int)) "insertion order, duplicates kept" [ 3; 1; 1; 2; 3 ] (contents ());
+  Alcotest.check_raises "truncate beyond the set"
+    (Invalid_argument "Pmem.Lineset.truncate: mark beyond the set") (fun () ->
+      Pmem.Lineset.truncate set 6);
+  Pmem.Lineset.truncate set mark;
+  Alcotest.(check (list int)) "truncated back to the mark" [ 3; 1; 1 ] (contents ());
+  (* Past the initial capacity: growth keeps every line. *)
+  for l = 0 to 199 do
+    Pmem.Lineset.add set l
+  done;
+  Alcotest.(check int) "grown" 203 (Pmem.Lineset.mark set);
+  Alcotest.(check (list int)) "grown contents" ([ 3; 1; 1 ] @ List.init 200 Fun.id) (contents ());
+  Pmem.Lineset.clear set;
+  Alcotest.(check bool) "cleared" true (Pmem.Lineset.is_empty set);
+  Alcotest.(check int) "mark after clear" 0 (Pmem.Lineset.mark set)
+
+(* Batches built the way the commit paths build them — single lines in no
+   order, duplicates, overlapping byte ranges, a mark and a truncate back
+   to it — flush exactly like the reference model's flush of the sorted,
+   deduplicated line list: media, wear, clock and counters, and one
+   observer event per distinct line in ascending order.  One set serves
+   every flush and is empty after each. *)
+let test_lineset_differential () =
+  let nlines = 96 in
+  let size = nlines * 64 in
+  let p, clock, metrics = mk ~size ~seed:3 () in
+  let m = Ref_pmem.create ~seed:3 ~size in
+  let g = Tinca_util.Rng.create 77 in
+  let int n = Tinca_util.Rng.int g n in
+  let issued = ref [] in
+  Pmem.set_observer p
+    (Some (function Pmem.Clflush { off; _ } -> issued := (off / 64) :: !issued | _ -> ()));
+  let set = Pmem.Lineset.create () in
+  for round = 1 to 300 do
+    for _ = 0 to int 4 do
+      let len = 1 + int 300 in
+      let off = int (size - len + 1) in
+      let b = Bytes.make len (Char.chr (97 + int 3)) in
+      Ref_pmem.store m ~off ~len (fun d -> Bytes.blit b 0 d off len);
+      Pmem.write p ~off b
+    done;
+    (* [kept] mirrors the set's lines, newest first. *)
+    let kept = ref [] in
+    let add_some () =
+      for _ = 1 to int 6 do
+        if Tinca_util.Rng.bool g then begin
+          let l = int nlines in
+          Pmem.Lineset.add set l;
+          kept := l :: !kept
+        end
+        else begin
+          let len = int 200 in
+          let off = int (size - len + 1) in
+          Pmem.Lineset.add_range set ~off ~len;
+          if len > 0 then
+            for l = off / 64 to (off + len - 1) / 64 do
+              kept := l :: !kept
+            done
+        end
+      done
+    in
+    add_some ();
+    let mark = Pmem.Lineset.mark set and at_mark = !kept in
+    add_some ();
+    if int 3 = 0 then begin
+      Pmem.Lineset.truncate set mark;
+      kept := at_mark;
+      add_some ()
+    end;
+    let what = Printf.sprintf "round %d" round in
+    Alcotest.(check bool) (what ^ ": is_empty") (!kept = []) (Pmem.Lineset.is_empty set);
+    issued := [];
+    Ref_pmem.flush_lines m !kept;
+    Pmem.flush_lines p set;
+    Alcotest.(check (list int)) (what ^ ": issue order") (List.sort_uniq compare !kept)
+      (List.rev !issued);
+    Alcotest.(check bool) (what ^ ": set emptied") true (Pmem.Lineset.is_empty set);
+    if int 2 = 0 then begin
+      Ref_pmem.sfence m;
+      Pmem.sfence p
+    end;
+    check_same what m p clock metrics
+  done
+
+(* An out-of-bounds line anywhere in the set fails the whole flush before
+   a single line is issued: no event, no counter, no clock charge, no
+   line changes state.  The set is emptied all the same. *)
+let test_flush_lines_out_of_bounds () =
+  let p, clock, metrics = mk ~size:(16 * 64) () in
+  Pmem.write p ~off:0 (Bytes.make 128 'x');
+  let set = Pmem.Lineset.create () in
+  List.iter
+    (fun bad ->
+      let events = Pmem.event_count p
+      and counters = Metrics.to_list metrics
+      and now = Clock.now_ns clock in
+      Pmem.Lineset.add set 1;
+      Pmem.Lineset.add set bad;
+      Pmem.Lineset.add set 0;
+      Alcotest.check_raises
+        (Printf.sprintf "line %d rejected" bad)
+        (Invalid_argument
+           (Printf.sprintf "Pmem.flush_lines: line %d out of bounds (device has 16)" bad))
+        (fun () -> Pmem.flush_lines p set);
+      Alcotest.(check int) "no event" events (Pmem.event_count p);
+      Alcotest.(check (list (pair string int))) "no counter" counters (Metrics.to_list metrics);
+      Alcotest.(check (float 0.0)) "no charge" now (Clock.now_ns clock);
+      Alcotest.(check bool) "set emptied" true (Pmem.Lineset.is_empty set))
+    [ 16; -1; 1000 ];
+  (* Neither line was marked flush-pending: a fence leaves both dirty. *)
+  Pmem.sfence p;
+  Alcotest.(check int) "lines 0 and 1 still dirty" 2 (Pmem.dirty_line_count p)
+
 (* --- allocation pin ------------------------------------------------------ *)
 
 (* Unobserved and untraced, a warm device allocates nothing per line: each
-   primitive costs the same minor words over 1 line as over 64, and a
-   scatter-gather flush at most 8 words per line. *)
+   primitive costs the same minor words over 1 line as over 64 — a
+   scatter-gather flush over a warm set included. *)
 let test_line_layer_allocation () =
   Tinca_obs.Trace.disable ();
   let p, _, _ = mk ~size:(256 * 64) () in
@@ -657,7 +794,9 @@ let test_line_layer_allocation () =
   (* Warm up: grow the dirty stack past 64 + 1 lines, register every counter. *)
   Pmem.write p ~off:0 (Bytes.make (128 * 64) 'w');
   Pmem.atomic_write8 p ~off:0 1L;
-  Pmem.flush_lines p [ 0 ];
+  let set = Pmem.Lineset.create () in
+  Pmem.Lineset.add set 0;
+  Pmem.flush_lines p set;
   clean ();
   (* [f n] works on [n] lines of a clean device. *)
   let same what f =
@@ -683,11 +822,22 @@ let test_line_layer_allocation () =
       dirty n;
       Pmem.clflush p ~off:at ~len:(n * 64);
       words (fun () -> Pmem.sfence p));
-  (* Unsorted input: sorting it costs one array. *)
-  let lines = List.init 64 (fun i -> 128 + (i * 7 mod 64)) in
-  dirty 64;
-  let w = words (fun () -> Pmem.flush_lines p lines) in
-  Alcotest.(check bool) (Printf.sprintf "flush_lines: %d words for 64 lines" w) true (w <= 8 * 64)
+  (* Unsorted, with a duplicate, into a set grown by an earlier flush:
+     sorted and deduplicated in place. *)
+  let fill n =
+    for i = 0 to n - 1 do
+      Pmem.Lineset.add set (128 + (i * 7 mod n))
+    done;
+    Pmem.Lineset.add set 128
+  in
+  fill 64;
+  Pmem.flush_lines p set;
+  same "flush_lines" (fun n ->
+      dirty n;
+      fill n;
+      words (fun () -> Pmem.flush_lines p set));
+  Pmem.sfence p;
+  Alcotest.(check int) "every line flushed" 0 (Pmem.dirty_line_count p)
 
 (* The crash explorer's per-state path: restore a snapshot, resolve it
    with [crash_select].  Once the device's draw-order scratch has grown,
@@ -761,6 +911,10 @@ let suite =
       [
         Alcotest.test_case "matches the hashtable model" `Quick test_differential_random;
         Alcotest.test_case "matches it past 8192 dirty lines" `Quick test_differential_large;
+        Alcotest.test_case "flush batch marks and order" `Quick test_lineset_marks;
+        Alcotest.test_case "flush batches match the sorted list" `Quick test_lineset_differential;
+        Alcotest.test_case "out-of-bounds flush issues nothing" `Quick
+          test_flush_lines_out_of_bounds;
         Alcotest.test_case "allocation-free per line" `Quick test_line_layer_allocation;
         Alcotest.test_case "crash_select allocates nothing" `Quick test_crash_select_allocation;
       ] );
