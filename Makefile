@@ -79,13 +79,12 @@ check-group:
 	dune exec bin/tinca_check.exe -- --psan --commits 120 --universe 160 --group-window 400000
 	dune exec bin/tinca_bench.exe -- check-group
 
-# Commit-scheme gate (ISSUE 10): tinca_bench's five-property verdict —
+# Commit-scheme gate (ISSUE 10): tinca_bench's four-property verdict —
 # paging's fence budget flat in transaction size (2 sfences/commit at
-# any size), the commit_scheme/commit_pipeline config shim media- and
-# cost-identical on the logging path, a budgeted paging crash-space
-# sweep and lockstep spec refinement at N=1 and N=4, and a psan-clean
-# paging workload — then a sanitizer pass and a denser standalone
-# paging sweep through tinca_check.
+# any size), a budgeted paging crash-space sweep clean at N=1 and N=4,
+# lockstep spec refinement (paging N=1/4, logging N=4), and a
+# psan-clean paging workload — then a sanitizer pass and a denser
+# standalone paging sweep through tinca_check.
 check-page:
 	dune exec bin/tinca_bench.exe -- check-page
 	dune exec bin/tinca_check.exe -- --psan --scheme paging --commits 150 --universe 160 --shards 2

@@ -439,10 +439,9 @@ let check_group_cmd =
   Cmd.v (Cmd.info "check-group" ~doc) Term.(const run_check_group $ window $ streams)
 
 (* `check-page` subcommand: the commit-scheme ablation CI gate
-   (ISSUE 10) — paging's fence budget flat in transaction size, the
-   commit_scheme/commit_pipeline shim identity, a budgeted paging
-   crash-space sweep and lockstep refinement at N=1/4, psan-clean
-   paging workload. *)
+   (ISSUE 10) — paging's fence budget flat in transaction size, a
+   budgeted paging crash-space sweep and lockstep refinement at N=1/4,
+   psan-clean paging workload. *)
 let run_check_page () =
   let module Exp_page = Tinca_harness.Exp_page in
   let module Tabular = Tinca_util.Tabular in

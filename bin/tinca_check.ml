@@ -151,7 +151,7 @@ let run_psan commits seed universe shards group_window scheme =
     !nbad
     + psan_summary
         (Printf.sprintf "Tinca/%s (commit workload + crash recovery, %d shard%s)"
-           (Tinca.Config.scheme_name (Tinca.Config.effective_scheme config))
+           (Tinca.Config.scheme_name config.Tinca.Config.commit_scheme)
            shards
            (if shards = 1 then "" else "s"))
         psan;
@@ -177,7 +177,7 @@ let run_psan commits seed universe shards group_window scheme =
   (* Async group-commit phase (ISSUE 8), when a window was given.  The
      group committer is logging-only (validated so), hence skipped under
      --scheme paging. *)
-  (match Tinca.Config.effective_scheme config with
+  (match config.Tinca.Config.commit_scheme with
   | Tinca.Config.Logging _ when group_window > 0 ->
       nbad := !nbad + run_psan_group ~commits ~seed ~universe ~shards ~window:group_window
   | Tinca.Config.Paging _ when group_window > 0 ->
@@ -564,7 +564,7 @@ let run psan lockstep flight commits seed universe ring_slots pmem_kb cap sample
      facade would. *)
   let scheme =
     match Tinca.Config.of_args ~scheme:scheme_str ~shards () with
-    | Ok c -> Tinca.Config.effective_scheme c
+    | Ok c -> c.Tinca.Config.commit_scheme
     | Error m ->
         Printf.eprintf "tinca_check: %s\n" m;
         exit 2

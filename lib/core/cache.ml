@@ -136,7 +136,6 @@ let config t = t.cfg
 
 (* --- flight recorder (ISSUE 9) ----------------------------------------- *)
 
-let flight_enabled t = t.flight <> None
 let set_flight_shard t s = t.flight_shard <- s
 let flight_scan_result t = t.flight_scan
 

@@ -389,9 +389,6 @@ val region_wear : t -> (string * int * int) list
     protocol already pays — the recorder never adds an sfence, pinned by
     [test_budget] with the recorder enabled. *)
 
-(** Is the recorder on for this cache? *)
-val flight_enabled : t -> bool
-
 (** Label this cache's records with a shard index ({!Shard} sets it at
     construction; defaults to 0). *)
 val set_flight_shard : t -> int -> unit

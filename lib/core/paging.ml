@@ -39,7 +39,6 @@ module Pmem = Tinca_pmem.Pmem
 module Disk = Tinca_blockdev.Disk
 module Lru = Tinca_cachelib.Lru
 module Free_monitor = Tinca_cachelib.Free_monitor
-module Histogram = Tinca_util.Histogram
 module Codec = Tinca_util.Codec
 module Flight = Tinca_obs.Flight
 
@@ -233,7 +232,6 @@ type t = {
   (* The flush batch of every commit, unstage, recovery and format
      stage, reused; flight records wait here for the next stage flush. *)
   lines : Pmem.Lineset.t;
-  txn_sizes : Histogram.t;
   mutable read_hits : int;
   mutable read_misses : int;
   mutable write_hits : int;
@@ -293,8 +291,6 @@ let flight_note t s ?(batch = -1) ?(cause = Flight.Sync) ?(a = 0) ?(b = 0) ?(c =
    until the paging commit path flushes it with its next existing flush+fence (zero added \
    fences); a record torn by a crash fails its CRC and is dropped by Flight.scan"]
 
-let flight_enabled t = Array.exists (fun s -> s.flight <> None) t.shards
-
 let flight_scans t =
   Array.map (fun s -> match s.flight_scan with Some r -> r | None -> ([], 0)) t.shards
 
@@ -338,7 +334,6 @@ let mk_t ~cfg ~pmem ~disk ~clock ~metrics ~nshards shards =
     nshards;
     shards;
     lines = Pmem.Lineset.create ();
-    txn_sizes = Histogram.create ();
     read_hits = 0;
     read_misses = 0;
     write_hits = 0;
@@ -733,8 +728,7 @@ let publish t writes ~cause =
               in
               p.p_node <- Some (Lru.push_mru s.lru p);
               Hashtbl.replace s.index st.st_blkno p)
-        (List.rev staged);
-      Histogram.add t.txn_sizes (float_of_int (List.length writes))
+        (List.rev staged)
 
 (* --- transactions -------------------------------------------------------- *)
 
@@ -961,8 +955,6 @@ let free_frames t = Array.fold_left (fun acc s -> acc + Free_monitor.free_count 
 let dirty_slots t = Array.fold_left (fun acc s -> acc + s.dirty_count) 0 t.shards
 let table_swings t = Array.fold_left (fun acc s -> acc + s.swings) 0 t.shards
 let epoch_bumps t = Array.fold_left (fun acc s -> acc + s.epoch_bumps) 0 t.shards
-
-let txn_size_histogram t = t.txn_sizes
 
 let write_hit_rate t =
   let total = t.write_hits + t.write_misses in

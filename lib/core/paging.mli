@@ -110,7 +110,6 @@ val flush_all : t -> unit
 
 val stats_kv : t -> (string * string) list
 val write_hit_rate : t -> float
-val txn_size_histogram : t -> Tinca_util.Histogram.t
 
 (** Per-region (name, wear_sum, wear_max) rows: super / epoch / flight /
     table / pool, prefixed [s<i>.] on sharded media. *)
@@ -138,8 +137,6 @@ val region_layouts : t -> region_layout list
 (** Post-crash flight-recorder scans per shard (records, torn count),
     shaped for {!Tinca_obs.Forensics.build}. *)
 val flight_scans : t -> ((int * Tinca_obs.Flight.event) list * int) array
-
-val flight_enabled : t -> bool
 
 (** Test-only: [`Torn_swing] splits the 16 B table swing into two 8 B
     halves with the first made durable alone — the planted bug class the

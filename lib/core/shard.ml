@@ -660,8 +660,6 @@ let stats_kv st =
 
 (* --- flight recorder / forensics surface --------------------------------- *)
 
-let flight_enabled t = Array.exists Cache.flight_enabled t.caches
-
 (* Per-shard survivor scans from the last recovery, shaped for
    [Tinca_obs.Forensics.build].  Shards recovered without a flight ring
    (or before any recovery) contribute an empty track. *)

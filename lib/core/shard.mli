@@ -188,9 +188,6 @@ val stats_kv : stats -> (string * string) list
 
     See {!Cache.flight_note} and {!Tinca_obs.Forensics}. *)
 
-(** Does any shard carry a flight ring? *)
-val flight_enabled : t -> bool
-
 (** Per-shard survivor scans from the last recovery — [(records, torn)]
     per shard, shaped for [Tinca_obs.Forensics.build].  Shards without a
     ring (or attached by [format]) contribute [([], 0)]. *)

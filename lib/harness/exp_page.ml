@@ -20,12 +20,11 @@
    paging's constant fence budget beats batched logging's — is computed
    from the sweep and reported in both the table and the JSON block.
 
-   `tinca_bench check-page` gates CI on the scheme contract: paging's
-   fence budget is flat in transaction size, the commit_scheme spelling
-   of the logging pipeline is media- and cost-identical to the
-   deprecated commit_pipeline spelling, a budgeted crash-space sweep and
-   the lockstep spec hold for paging at N=1 and N=4, and a psan-observed
-   paging run is violation-free. *)
+   `tinca_bench check-page` gates CI on four properties of the scheme
+   contract: paging's fence budget is flat in transaction size, a
+   budgeted crash-space sweep is clean for paging at N=1 and N=4, the
+   lockstep spec holds for paging at N=1/4 (and logging at N=4), and a
+   psan-observed paging run is violation-free. *)
 
 module Pmem = Tinca_pmem.Pmem
 module Disk = Tinca_blockdev.Disk
@@ -164,38 +163,6 @@ let table samples =
 
 let fig_log_vs_page () = [ table (sweep ()) ]
 
-(* --- the deprecation-shim identity pin ----------------------------------- *)
-
-(* The same workload through [commit_scheme = Logging p] and through the
-   deprecated [commit_pipeline = p] spelling must leave byte-identical
-   media, equal simulated time and equal fence counts: the Commit_scheme
-   indirection and the config shim cost nothing on the classic path. *)
-let shim_pin ~pipeline ~n =
-  let run config_of =
-    let clock = Clock.create () in
-    let metrics = Metrics.create () in
-    let pmem = Pmem.create ~clock ~metrics ~tech:Latency.Pcm ~size:nvm_bytes () in
-    let disk = Disk.create ~clock ~metrics ~kind:Latency.Ssd ~nblocks:4096 ~block_size:4096 in
-    let tc = Tinca.ok_exn (Tinca.format ~config:(config_of ()) ~pmem ~disk ~clock ~metrics) in
-    let payload = Bytes.make 4096 's' in
-    let next = ref 0 in
-    for c = 0 to 15 do
-      let h = Tinca.init_txn tc in
-      for _ = 1 to Exp_commit.measured_size ~n c do
-        Tinca.ok_exn (Tinca.write h (!next mod 256) payload);
-        incr next
-      done;
-      Tinca.ok_exn (Tinca.commit h)
-    done;
-    (Pmem.media_digest pmem, Clock.now_ns clock, Metrics.get metrics "pmem.sfence")
-  in
-  let base = { Tinca.Config.default with Tinca.Config.nvm_bytes; ring_slots = 4096 } in
-  let via_scheme =
-    run (fun () -> { base with Tinca.Config.commit_scheme = Tinca.Config.Logging pipeline })
-  in
-  let via_shim = run (fun () -> { base with Tinca.Config.commit_pipeline = pipeline }) in
-  via_scheme = via_shim
-
 (* --- the CI gate (tinca_bench check-page) -------------------------------- *)
 
 (* A paging workload observed end to end by psan (with the paging region
@@ -246,7 +213,6 @@ let check () =
   let fmax = List.fold_left max neg_infinity fences in
   let fmin = List.fold_left min infinity fences in
   let flat_ok = paging <> [] && fmax -. fmin <= 0.10 && fmax <= 4.0 in
-  let shim_ok = shim_pin ~pipeline:Tinca.Batched ~n:8 && shim_pin ~pipeline:Tinca.Per_block ~n:2 in
   (* Budgeted crash-space sweep of the paging protocol: every stride-th
      crash point, capped survival subsets, at N=1 and N=4. *)
   let crash_report n stride =
@@ -285,12 +251,6 @@ let check () =
     ];
   Tabular.add_row verdict
     [
-      "commit_scheme == commit_pipeline spelling (media + cost)";
-      "batched n=8, per-block n=2";
-      (if shim_ok then "ok" else "MISMATCH");
-    ];
-  Tabular.add_row verdict
-    [
       "paging crash-space sweep clean (N=1, N=4)";
       Printf.sprintf "%d + %d states checked" r1.Check.states_checked r4.Check.states_checked;
       (if crash_ok then "ok" else "FAIL");
@@ -308,7 +268,7 @@ let check () =
       (if psan_ok then "ok" else "FAIL");
     ];
   ( [ table samples; verdict ],
-    flat_ok && shim_ok && crash_ok && refine_ok && psan_ok )
+    flat_ok && crash_ok && refine_ok && psan_ok )
 
 (* --- machine-readable dump (the log_vs_page block of BENCH_commit.json) -- *)
 

@@ -154,7 +154,7 @@ let all : experiment list =
     {
       id = "fig_log_vs_page";
       title = "Commit-scheme ablation: logging ring vs COW paging";
-      paper_ref = "extension (ISSUE 10: Commit_scheme interface, crossover by write size)";
+      paper_ref = "extension (ISSUE 10: logging vs. paging commit schemes, crossover by write size)";
       run = Exp_page.fig_log_vs_page;
     };
     {

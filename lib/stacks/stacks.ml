@@ -75,16 +75,15 @@ let tinca_of_facade env tc =
     }
   in
   Trace.name_track env.clock "tinca";
-  let paging = Tinca.scheme_name tc = "paging" in
   {
     label = "Tinca";
     env;
     backend = with_latency env backend;
-    layouts = (if paging then [] else Tinca.layouts tc);
-    page_layouts = (if paging then Tinca.page_layouts tc else []);
+    layouts = Tinca.layouts tc;
+    page_layouts = Tinca.page_layouts tc;
     cache_write_hit_rate = (fun () -> Tinca.write_hit_rate tc);
     txn_size_histogram = (fun () -> Some (Tinca.txn_size_histogram tc));
-    peak_cow_blocks = (fun () -> if paging then 0 else Tinca.peak_cow_blocks tc);
+    peak_cow_blocks = (fun () -> Tinca.peak_cow_blocks tc);
     proc_stats =
       (fun () ->
         Tinca.stats_kv tc

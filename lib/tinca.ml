@@ -4,7 +4,6 @@ module Cache = Tinca_core.Cache
 module Shard = Tinca_core.Shard
 module Layout = Tinca_core.Layout
 module Paging = Tinca_core.Paging
-module Commit_scheme = Tinca_core.Commit_scheme
 module Histogram = Tinca_util.Histogram
 module Trace = Tinca_obs.Trace
 module Flight = Tinca_obs.Flight
@@ -16,8 +15,8 @@ type write_policy = Cache.mode = Write_back | Write_through
 type pipeline = Cache.pipeline = Per_block | Batched
 
 module Config = struct
-  (* Paging-scheme knobs (the logging pipeline's knobs — ring_slots,
-     commit_pipeline — do not apply to paging, and vice versa). *)
+  (* Paging-scheme knobs (the logging pipeline's knobs — ring_slots and
+     the pipeline variant — do not apply to paging, and vice versa). *)
   type page_cfg = {
     page_headroom : int;
         (* free page frames admission keeps in reserve beyond a
@@ -37,11 +36,6 @@ module Config = struct
     ring_slots : int;
     nshards : int;
     commit_scheme : scheme;
-    commit_pipeline : pipeline;
-        (* DEPRECATED shim: pre-ISSUE-10 spelling of [Logging pipeline].
-           When [commit_scheme] is left at its default, a non-default
-           [commit_pipeline] still selects the pipeline; [validate]
-           normalizes the two fields to agree. *)
     flush_instr : Latency.flush_instr;
     write_policy : write_policy;
     clean_threshold : float;
@@ -58,7 +52,6 @@ module Config = struct
       ring_slots = Cache.default_config.Cache.ring_slots;
       nshards = 1;
       commit_scheme = Logging Cache.default_config.Cache.commit_pipeline;
-      commit_pipeline = Cache.default_config.Cache.commit_pipeline;
       flush_instr = Latency.Clflush;
       write_policy = Cache.default_config.Cache.mode;
       clean_threshold = Cache.default_config.Cache.clean_threshold;
@@ -68,18 +61,10 @@ module Config = struct
       flight_slots = 0;
     }
 
-  (* Resolve the deprecation shim: an untouched [commit_scheme] defers
-     to [commit_pipeline] (the old spelling); anything else wins. *)
-  let effective_scheme c =
-    match c.commit_scheme with
-    | Logging Batched when c.commit_pipeline <> Batched -> Logging c.commit_pipeline
-    | s -> s
-
   let scheme_name = function Logging _ -> "logging" | Paging _ -> "paging"
 
   let validate c =
     let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
-    let scheme = effective_scheme c in
     if c.block_size <= 0 || c.block_size mod 64 <> 0 then
       err "block_size %d must be a positive multiple of 64" c.block_size
     else if c.ring_slots <= 0 then err "ring_slots %d must be positive" c.ring_slots
@@ -94,7 +79,7 @@ module Config = struct
       err "group_max_batch %d must be positive" c.group_max_batch
     else if c.flight_slots < 0 then err "flight_slots %d must be non-negative" c.flight_slots
     else
-      match scheme with
+      match c.commit_scheme with
       | Logging pipeline ->
           if c.group_window_ns > 0 && pipeline <> Batched then
             err "group_window_ns requires the Batched commit pipeline"
@@ -109,7 +94,7 @@ module Config = struct
                 Layout.compute_flight ~flight_slots:c.flight_slots ~base:0 ~pmem_bytes:span
                   ~block_size:c.block_size ~ring_slots:c.ring_slots
               with
-              | _ -> Ok { c with commit_scheme = scheme; commit_pipeline = pipeline }
+              | _ -> Ok c
               | exception Invalid_argument _ ->
                   err "nvm_bytes %d cannot host %d shard(s) of block_size %d with %d ring slots"
                     c.nvm_bytes c.nshards c.block_size c.ring_slots)
@@ -125,7 +110,7 @@ module Config = struct
               Paging.check_geometry ~nshards:c.nshards ~pmem_bytes:c.nvm_bytes
                 ~block_size:c.block_size ~flight_slots:c.flight_slots
             with
-            | Ok () -> Ok { c with commit_scheme = scheme }
+            | Ok () -> Ok c
             | Error m -> Error m)
 
   let to_cache_config c =
@@ -135,7 +120,10 @@ module Config = struct
       mode = c.write_policy;
       clean_threshold = c.clean_threshold;
       alloc_policy = c.alloc_policy;
-      commit_pipeline = c.commit_pipeline;
+      commit_pipeline =
+        (match c.commit_scheme with
+        | Logging p -> p
+        | Paging _ -> Cache.default_config.Cache.commit_pipeline);
       flight_slots = c.flight_slots;
     }
 
@@ -167,14 +155,13 @@ module Config = struct
     let ( let* ) = Result.bind in
     let* scheme =
       match scheme with
-      | None -> Ok (effective_scheme base)
+      | None -> Ok base.commit_scheme
       | Some s -> scheme_of_string s
     in
     let c =
       {
         base with
         commit_scheme = scheme;
-        commit_pipeline = (match scheme with Logging p -> p | Paging _ -> base.commit_pipeline);
         nshards = Option.value ~default:base.nshards shards;
         group_window_ns = Option.value ~default:base.group_window_ns group_window;
         flight_slots = Option.value ~default:base.flight_slots flight_slots;
@@ -233,8 +220,16 @@ let of_exn = function
 
 let ok_exn = function Ok v -> v | Error e -> raise (to_exn e)
 
+(* The one commit-engine seam: the logging scheme's ring pipeline
+   (one Cache per shard behind Shard) or the paging scheme's
+   COW/indirection-table engine.  Every scheme-generic facade function
+   below is one two-arm match on it; the group committer, which is
+   logging-only, matches [Log_txn] directly. *)
+type engine = Logging of Shard.t | Paging of Paging.t
+type handle = Log_txn of Shard.Txn.handle | Page_txn of Paging.Txn.handle
+
 (* A transaction acknowledged by [commit_async] but not yet drained by
-   the group committer.  [handle] is the sealed shard-level handle the
+   the group committer.  [ph] is the sealed shard-level handle the
    drain will commit; [ticket] is the caller-visible durability token. *)
 type ticket = {
   t_owner : t;
@@ -246,13 +241,10 @@ type ticket = {
   mutable callbacks : (unit -> unit) list; (* reversed registration order *)
 }
 
-and pending = { ph : Shard.Txn.handle; ticket : ticket; pblocks : int list }
+and pending = { ph : Shard.Txn.handle; ticket : ticket }
 
 and t = {
-  engine : Commit_scheme.engine;
-      (* the transparent view: group commit is logging-only, the paging
-         region layouts feed psan *)
-  packed : Commit_scheme.packed; (* the same engine behind the interface *)
+  engine : engine;
   nblocks : int; (* disk blocks, for the range check *)
   block_size : int;
   txn_sizes : Histogram.t;
@@ -284,14 +276,13 @@ and group = {
 let of_engine ~disk ~clock ~metrics ~window_ns ~max_batch engine =
   let block_size, ring_slots =
     match engine with
-    | Commit_scheme.Logging_engine shard ->
+    | Logging shard ->
         let c = Cache.config (Shard.cache shard 0) in
         (c.Cache.block_size, c.Cache.ring_slots)
-    | Commit_scheme.Paging_engine pg -> (Paging.block_size pg, max_int)
+    | Paging pg -> (Paging.block_size pg, max_int)
   in
   {
     engine;
-    packed = Commit_scheme.pack engine;
     nblocks = Disk.nblocks disk;
     block_size;
     txn_sizes = Histogram.create ();
@@ -315,11 +306,11 @@ let format ~config ~pmem ~disk ~clock ~metrics =
       match
         match config.Config.commit_scheme with
         | Config.Logging _ ->
-            Commit_scheme.Logging_engine
+            Logging
               (Shard.format ~nshards:config.Config.nshards
                  ~config:(Config.to_cache_config config) ~pmem ~disk ~clock ~metrics)
         | Config.Paging pcfg ->
-            Commit_scheme.Paging_engine
+            Paging
               (Paging.format ~nshards:config.Config.nshards
                  ~config:(Config.to_page_config config pcfg) ~pmem ~disk ~clock ~metrics)
       with
@@ -329,17 +320,34 @@ let format ~config ~pmem ~disk ~clock ~metrics =
                ~max_batch:config.Config.group_max_batch engine)
       | exception Invalid_argument m -> Error (Invalid_config m))
 
+let peek t blkno =
+  match t.engine with Logging sh -> Shard.peek sh blkno | Paging pg -> Paging.peek pg blkno
+
+(* Crashed media carries its scheme in its first 8 bytes: the paging
+   magics dispatch to Paging.recover, anything else (the logging
+   superblock, the shard directory, or garbage) to Shard.recover, which
+   does its own validation. *)
 let recover ~pmem ~disk ~clock ~metrics =
-  match Commit_scheme.recover ~pmem ~disk ~clock ~metrics () with
+  match
+    let magic = Tinca_util.Codec.get_u64 (Tinca_pmem.Pmem.read pmem ~off:0 ~len:8) 0 in
+    if magic = Paging.super_magic || magic = Paging.dir_magic then
+      Paging (Paging.recover ~pmem ~disk ~clock ~metrics ())
+    else Logging (Shard.recover ~pmem ~disk ~clock ~metrics ())
+  with
   | engine ->
-      let t = of_engine ~disk ~clock ~metrics ~window_ns:0 ~max_batch:32 engine in
+      let t =
+        of_engine ~disk ~clock ~metrics ~window_ns:0
+          ~max_batch:Config.default.Config.group_max_batch engine
+      in
       (* Post-crash dossier: reconcile recorder-acked commits against the
          just-recovered cache state.  The probe answers "does this block
          now carry the payload sealed into the dead batch?" by CRC. *)
-      let scans = Commit_scheme.flight_scans t.packed in
+      let scans =
+        match engine with Logging sh -> Shard.flight_scans sh | Paging pg -> Paging.flight_scans pg
+      in
       if Array.exists (fun (recs, torn) -> recs <> [] || torn > 0) scans then begin
         let probe ~shard:_ ~blkno ~crc =
-          match Commit_scheme.peek t.packed blkno with
+          match peek t blkno with
           | Some data ->
               Int32.to_int (Tinca_util.Codec.crc32 data ~pos:0 ~len:(Bytes.length data))
               land 0xFFFF_FFFF
@@ -357,35 +365,27 @@ let last_crash_report t = !(t.forensics)
 
 (* --- introspection ------------------------------------------------------ *)
 
-let scheme t =
+let scheme_name t = match t.engine with Logging _ -> "logging" | Paging _ -> "paging"
+
+(* The one typed escape hatch below the facade: per-shard caches, lanes
+   and ring internals exist only on the logging engine, so asking on
+   paging media is a usage error, not a zero. *)
+let shard t =
   match t.engine with
-  | Commit_scheme.Logging_engine _ -> Config.Logging Batched
-  | Commit_scheme.Paging_engine _ -> Config.Paging Config.default_page_cfg
+  | Logging sh -> sh
+  | Paging _ -> invalid_arg "Tinca.shard: logging-scheme-only (this cache is paging)"
 
-let scheme_name t = Commit_scheme.scheme_name t.engine
-
-(* Logging-only escape hatches: callers that reach below the commit
-   scheme (per-shard stats, ring layouts, group commit) must be on the
-   logging engine; asking on paging media is a usage error, not a zero. *)
-let log_shard ~who t =
-  match t.engine with
-  | Commit_scheme.Logging_engine shard -> shard
-  | Commit_scheme.Paging_engine _ ->
-      invalid_arg (Printf.sprintf "Tinca.%s: logging-scheme-only (this cache is paging)" who)
-
-let page ~who t =
-  match t.engine with
-  | Commit_scheme.Paging_engine pg -> pg
-  | Commit_scheme.Logging_engine _ ->
-      invalid_arg (Printf.sprintf "Tinca.%s: paging-scheme-only (this cache is logging)" who)
-
-let shard t = log_shard ~who:"shard" t
-let paging t = page ~who:"paging" t
-let nshards t = Commit_scheme.nshards t.packed
+let nshards t = match t.engine with Logging sh -> Shard.nshards sh | Paging pg -> Paging.nshards pg
 let block_size t = t.block_size
-let layouts t = Array.to_list (Array.map Cache.layout (Shard.caches (log_shard ~who:"layouts" t)))
-let page_layouts t = Paging.region_layouts (page ~who:"page_layouts" t)
-let stats t = Shard.stats (log_shard ~who:"stats" t)
+
+(* Scheme-specific introspection returns data, not exceptions: the
+   other scheme's layouts are empty and it has no COW chain. *)
+let layouts t =
+  match t.engine with
+  | Logging sh -> Array.to_list (Array.map Cache.layout (Shard.caches sh))
+  | Paging _ -> []
+
+let page_layouts t = match t.engine with Paging pg -> Paging.region_layouts pg | Logging _ -> []
 
 (* Scheme-aware stats: each engine reports its own vocabulary — under
    paging the logging-only rows (ring high water, role switches) are
@@ -393,34 +393,40 @@ let stats t = Shard.stats (log_shard ~who:"stats" t)
    rows describe the facade's committer, which only exists over the
    logging engine. *)
 let stats_kv t =
-  Commit_scheme.stats_kv t.packed
-  @ (match t.engine with
-    | Commit_scheme.Paging_engine _ -> []
-    | Commit_scheme.Logging_engine _ ->
-        [
+  match t.engine with
+  | Paging pg -> Paging.stats_kv pg
+  | Logging sh ->
+      Shard.stats_kv (Shard.stats sh)
+      @ [
           ("group_batches", string_of_int t.group.batches);
           ("group_pending", string_of_int (List.length t.group.pending));
           ("group_pending_high_water", string_of_int t.group.pending_high_water);
         ]
-        @ (Hashtbl.fold
-             (fun k v acc -> (("group_drains_" ^ k), string_of_int v) :: acc)
-             t.group.drains_by_cause []
-          |> List.sort compare))
+      @ (Hashtbl.fold
+           (fun k v acc -> (("group_drains_" ^ k), string_of_int v) :: acc)
+           t.group.drains_by_cause []
+        |> List.sort compare)
 
-let region_wear t = Commit_scheme.region_wear t.packed
-let check_invariants t = Commit_scheme.check_invariants t.packed
+let region_wear t =
+  match t.engine with Logging sh -> Shard.region_wear sh | Paging pg -> Paging.region_wear pg
+
+let check_invariants t =
+  match t.engine with
+  | Logging sh -> Shard.check_invariants sh
+  | Paging pg -> Paging.check_invariants pg
+
 let txn_size_histogram t = t.txn_sizes
-let peek t blkno = Commit_scheme.peek t.packed blkno
-let contains t blkno = Commit_scheme.contains t.packed blkno
+
+let contains t blkno =
+  match t.engine with Logging sh -> Shard.contains sh blkno | Paging pg -> Paging.contains pg blkno
 
 let write_hit_rate t =
   match t.engine with
-  | Commit_scheme.Logging_engine shard -> (Shard.stats shard).Shard.agg.Cache.write_hit_ratio
-  | Commit_scheme.Paging_engine pg -> Paging.write_hit_rate pg
+  | Logging sh -> (Shard.stats sh).Shard.agg.Cache.write_hit_ratio
+  | Paging pg -> Paging.write_hit_rate pg
 
 let peak_cow_blocks t =
-  let s = Shard.stats (log_shard ~who:"peak_cow_blocks" t) in
-  s.Shard.agg.Cache.peak_cow
+  match t.engine with Logging sh -> (Shard.stats sh).Shard.agg.Cache.peak_cow | Paging _ -> 0
 
 (* --- the group committer (async commit, ISSUE 8) ------------------------ *)
 
@@ -430,12 +436,11 @@ let peak_cow_blocks t =
    crash (commit_group's contract), so the spec's crash candidates are
    exactly {without the batch, with the whole batch}.  The batch is only
    ever populated over the logging engine (validate rejects a group
-   window under paging), so the empty-batch early return keeps this path
-   scheme-safe. *)
+   window under paging), so paging always takes the empty arm. *)
 let flush_pending ?(cause = Flight.Barrier) t =
-  match t.group.pending with
-  | [] -> ()
-  | newest_first ->
+  match (t.group.pending, t.engine) with
+  | [], _ | _, Paging _ -> ()
+  | newest_first, Logging shard ->
       let batch = List.rev newest_first in
       t.group.pending <- [];
       (* [clear], not [reset]: the table keeps the buckets the batch grew. *)
@@ -451,7 +456,7 @@ let flush_pending ?(cause = Flight.Barrier) t =
       Trace.attr "blocks"
         (string_of_int (List.fold_left (fun acc p -> acc + p.ticket.tk_blocks) 0 batch));
       let sf0 = Metrics.get t.metrics "pmem.sfence" in
-      Shard.commit_group ~cause (log_shard ~who:"group_commit" t) (List.map (fun p -> p.ph) batch);
+      Shard.commit_group ~cause shard (List.map (fun p -> p.ph) batch);
       Trace.attr "sfences" (string_of_int (Metrics.get t.metrics "pmem.sfence" - sf0));
       Trace.end_span "tinca.group_commit";
       let now = Clock.now_ns t.clock in
@@ -487,24 +492,18 @@ let group_drains_by_cause t =
 
 type txn = {
   owner : t;
-  pt : Commit_scheme.packed_txn; (* the scheme-interface handle *)
-  lh : Shard.Txn.handle option;
-      (* the same handle, transparent — present iff logging, for the
-         group committer's seal path (logging-only by validation) *)
+  h : handle;
   mutable live : bool;
   mutable blocks : int list; (* staged block numbers, for conflict checks *)
 }
 
 let init_txn t =
-  let pt, lh =
+  let h =
     match t.engine with
-    | Commit_scheme.Logging_engine shard ->
-        let h = Shard.Txn.init shard in
-        (Commit_scheme.Txn ((module Commit_scheme.Logging), h), Some h)
-    | Commit_scheme.Paging_engine pg ->
-        (Commit_scheme.Txn ((module Commit_scheme.Paging_impl), Paging.Txn.init pg), None)
+    | Logging sh -> Log_txn (Shard.Txn.init sh)
+    | Paging pg -> Page_txn (Paging.Txn.init pg)
   in
-  { owner = t; pt; lh; live = true; blocks = [] }
+  { owner = t; h; live = true; blocks = [] }
 
 let check_block t blkno = blkno >= 0 && blkno < t.nblocks
 
@@ -515,7 +514,10 @@ let write txn blkno data =
   else if not (check_block txn.owner blkno) then Error (Block_out_of_range blkno)
   else begin
     txn.blocks <- blkno :: txn.blocks;
-    Ok (Commit_scheme.stage txn.pt blkno data)
+    Ok
+      (match txn.h with
+      | Log_txn h -> Shard.Txn.add h blkno data
+      | Page_txn h -> Paging.Txn.add h blkno data)
   end
 
 let durable_ticket t n =
@@ -551,22 +553,13 @@ let commit_async txn =
   else begin
     txn.live <- false;
     let t = txn.owner in
-    let n = Commit_scheme.block_count txn.pt in
-    match txn.lh with
-    | _ when t.window_ns <= 0 || n = 0 -> (
-        (* Synchronous fast path (and empty transactions, which carry no
-           durability obligation): drain any standing batch first so
-           commit order equals durability order. *)
-        flush_pending ~cause:Flight.Sync t;
-        match Commit_scheme.publish ~cause:Flight.Sync txn.pt with
-        | () ->
-            Histogram.add t.txn_sizes (float_of_int n);
-            Ok (durable_ticket t n)
-        | exception Cache.Transaction_too_large -> Error Transaction_too_large)
-    | None ->
-        (* Unreachable: window_ns > 0 is validated as logging-only. *)
-        invalid_arg "Tinca.commit_async: group window over a non-logging engine"
-    | Some lh -> begin
+    let n =
+      match txn.h with
+      | Log_txn h -> Shard.Txn.block_count h
+      | Page_txn h -> Paging.Txn.block_count h
+    in
+    match txn.h with
+    | Log_txn lh when t.window_ns > 0 && n > 0 -> begin
         if Clock.now_ns t.clock >= t.group.batch_deadline then
           flush_pending ~cause:Flight.Deadline t;
         if List.exists (fun b -> Hashtbl.mem t.group.pending_blocks b) txn.blocks then
@@ -594,7 +587,7 @@ let commit_async txn =
             Trace.attr "blocks" (string_of_int n);
             if t.group.pending = [] then
               t.group.batch_deadline <- Clock.now_ns t.clock +. float_of_int t.window_ns;
-            t.group.pending <- { ph = lh; ticket = tk; pblocks = txn.blocks } :: t.group.pending;
+            t.group.pending <- { ph = lh; ticket = tk } :: t.group.pending;
             List.iter (fun b -> Hashtbl.replace t.group.pending_blocks b ()) txn.blocks;
             t.group.pending_slots <- t.group.pending_slots + n;
             t.group.pending_high_water <-
@@ -604,6 +597,22 @@ let commit_async txn =
             Ok tk
         | exception Cache.Transaction_too_large -> Error Transaction_too_large
       end
+    | h -> (
+        (* Synchronous path (and empty transactions, which carry no
+           durability obligation): drain any standing batch first so
+           commit order equals durability order.  The ring pipeline
+           stamps its own causes per stage; the cause is only meaningful
+           to the paging recorder. *)
+        flush_pending ~cause:Flight.Sync t;
+        match
+          match h with
+          | Log_txn h -> Shard.Txn.commit h
+          | Page_txn h -> Paging.Txn.commit ~cause:Flight.Sync h
+        with
+        | () ->
+            Histogram.add t.txn_sizes (float_of_int n);
+            Ok (durable_ticket t n)
+        | exception Cache.Transaction_too_large -> Error Transaction_too_large)
   end
 
 let await tk =
@@ -626,12 +635,13 @@ let abort txn =
   if not txn.live then Error Txn_not_running
   else begin
     txn.live <- false;
-    Ok (Commit_scheme.abort txn.pt)
+    Ok (match txn.h with Log_txn h -> Shard.Txn.abort h | Page_txn h -> Paging.Txn.abort h)
   end
 
 let read t blkno =
   if not (check_block t blkno) then Error (Block_out_of_range blkno)
-  else Ok (Commit_scheme.read t.packed blkno)
+  else
+    Ok (match t.engine with Logging sh -> Shard.read sh blkno | Paging pg -> Paging.read pg blkno)
 
 let write_direct t blkno data =
   if Bytes.length data <> t.block_size then
@@ -641,7 +651,11 @@ let write_direct t blkno data =
     (* The direct write commits synchronously through the scheme;
        drain the batch first so its staged slots stay newest. *)
     flush_pending ~cause:Flight.Sync t;
-    match Commit_scheme.write_direct t.packed blkno data with
+    match
+      match t.engine with
+      | Logging sh -> Shard.write_direct sh blkno data
+      | Paging pg -> Paging.write_direct pg blkno data
+    with
     | () ->
         Histogram.add t.txn_sizes 1.0;
         Ok ()
@@ -650,4 +664,6 @@ let write_direct t blkno data =
 
 let sync t =
   flush_pending ~cause:Flight.Sync t;
-  Commit_scheme.flush_all t.packed
+  match t.engine with
+  | Logging sh -> Array.iter Cache.flush_all (Shard.caches sh)
+  | Paging pg -> Paging.flush_all pg

@@ -1,17 +1,17 @@
-(* Commit-scheme ablation (ISSUE 10): the Commit_scheme interface and
-   the COW paging engine behind it.
+(* Commit-scheme ablation (ISSUE 10): the facade's commit-engine seam
+   and the COW paging engine behind it.
 
-   - the logging scheme through the new interface is media- and
-     cost-identical to driving Shard directly (digest, fence count and
-     simulated time pinned at every tested transaction size, both
-     pipelines, N=1 and N=4);
+   - both schemes through the facade are media- and cost-identical to
+     driving their engine directly — Shard for logging (both
+     pipelines), Paging for paging (digest, fence count and simulated
+     time pinned at every tested transaction size, N=1 and N=4);
    - paging round-trips and survives recovery, with the scheme sniffed
      from the media magic;
    - scheme-aware stats: logging-only rows are absent (not zero) under
-     paging and vice versa;
+     paging and vice versa, and scheme-specific introspection returns
+     empty data on the other scheme instead of raising;
    - config: scheme spellings parse, validate rejects paging + group
-     window and paging + write-through, the deprecated commit_pipeline
-     shim still works, of_args funnels CLI arguments;
+     window and paging + write-through, of_args funnels CLI arguments;
    - paging's fence budget: 2 sfences per single-shard commit of any
      size, 4 per multi-shard commit;
    - lockstep refinement of the paging engine at N=1 and N=4; a
@@ -63,17 +63,30 @@ let commit_blocks tc blocks v =
   List.iter (fun b -> Tinca.ok_exn (Tinca.write h b (payload v))) blocks;
   Tinca.ok_exn (Tinca.commit h)
 
-(* --- the logging scheme is the old pipeline, byte for byte --------------- *)
+(* --- the facade is its engine, byte for byte ------------------------------ *)
 
 (* The same mixed-size commit stream (Exp_commit.measured_size, the
-   stream every figure uses) through Shard directly and through the
-   facade's Commit_scheme indirection: media digest, sfence count and
-   simulated end time must all agree — the interface extraction cost
-   nothing, at every transaction size, on both pipelines, sharded and
-   not. *)
-let test_media_cost_identity () =
+   stream every figure uses) through the engine directly and through the
+   facade's engine dispatch: media digest, sfence count and simulated
+   end time must all agree — the seam costs nothing, at every
+   transaction size, for every scheme, sharded and not. *)
+let media_cost_identity schemes =
   let universe = 48 in
-  let run_direct ~pipeline ~nshards ~n =
+  let run ~n ~init ~add ~commit =
+    let next = ref 0 in
+    for c = 0 to 11 do
+      let h = init () in
+      for _ = 1 to Tinca_harness.Exp_commit.measured_size ~n c do
+        add h (!next mod universe) (payload (Char.chr (0x20 + (c land 0x5f))));
+        incr next
+      done;
+      commit h
+    done
+  in
+  let measure env =
+    (Pmem.media_digest env.pmem, Metrics.get env.metrics "pmem.sfence", Clock.now_ns env.clock)
+  in
+  let run_direct ~scheme ~nshards ~n =
     let env = mk_env () in
     let fc =
       match
@@ -83,60 +96,64 @@ let test_media_cost_identity () =
             Tinca.Config.nvm_bytes = 512 * 1024;
             ring_slots = 128;
             nshards;
-            commit_scheme = Tinca.Config.Logging pipeline;
+            commit_scheme = scheme;
           }
       with
       | Ok c -> c
       | Error m -> Alcotest.fail m
     in
-    let s =
-      Shard.format ~nshards ~config:(Tinca.Config.to_cache_config fc) ~pmem:env.pmem
-        ~disk:env.disk ~clock:env.clock ~metrics:env.metrics
-    in
-    let next = ref 0 in
-    for c = 0 to 11 do
-      let h = Shard.Txn.init s in
-      for _ = 1 to Tinca_harness.Exp_commit.measured_size ~n c do
-        Shard.Txn.add h (!next mod universe) (payload (Char.chr (0x20 + (c land 0x5f))));
-        incr next
-      done;
-      Shard.Txn.commit h
-    done;
-    (Pmem.media_digest env.pmem, Metrics.get env.metrics "pmem.sfence", Clock.now_ns env.clock)
+    (match scheme with
+    | Tinca.Config.Logging _ ->
+        let s =
+          Shard.format ~nshards ~config:(Tinca.Config.to_cache_config fc) ~pmem:env.pmem
+            ~disk:env.disk ~clock:env.clock ~metrics:env.metrics
+        in
+        run ~n ~init:(fun () -> Shard.Txn.init s) ~add:Shard.Txn.add ~commit:Shard.Txn.commit
+    | Tinca.Config.Paging pcfg ->
+        let p =
+          Paging.format ~nshards ~config:(Tinca.Config.to_page_config fc pcfg) ~pmem:env.pmem
+            ~disk:env.disk ~clock:env.clock ~metrics:env.metrics
+        in
+        run ~n
+          ~init:(fun () -> Paging.Txn.init p)
+          ~add:Paging.Txn.add
+          ~commit:(fun h -> Paging.Txn.commit h));
+    measure env
   in
-  let run_facade ~pipeline ~nshards ~n =
+  let run_facade ~scheme ~nshards ~n =
     let env = mk_env () in
-    let tc = facade ~nshards ~scheme:(Tinca.Config.Logging pipeline) env in
-    let next = ref 0 in
-    for c = 0 to 11 do
-      let h = Tinca.init_txn tc in
-      for _ = 1 to Tinca_harness.Exp_commit.measured_size ~n c do
-        Tinca.ok_exn (Tinca.write h (!next mod universe) (payload (Char.chr (0x20 + (c land 0x5f)))));
-        incr next
-      done;
-      Tinca.ok_exn (Tinca.commit h)
-    done;
-    (Pmem.media_digest env.pmem, Metrics.get env.metrics "pmem.sfence", Clock.now_ns env.clock)
+    let tc = facade ~nshards ~scheme env in
+    run ~n
+      ~init:(fun () -> Tinca.init_txn tc)
+      ~add:(fun h b d -> Tinca.ok_exn (Tinca.write h b d))
+      ~commit:(fun h -> Tinca.ok_exn (Tinca.commit h));
+    measure env
   in
   List.iter
-    (fun pipeline ->
+    (fun (name, scheme) ->
       List.iter
         (fun nshards ->
           List.iter
             (fun n ->
-              let label =
-                Printf.sprintf "%s N=%d n=%d"
-                  (match pipeline with Tinca.Per_block -> "per-block" | Tinca.Batched -> "batched")
-                  nshards n
-              in
-              let d1, sf1, ns1 = run_direct ~pipeline ~nshards ~n in
-              let d2, sf2, ns2 = run_facade ~pipeline ~nshards ~n in
+              let label = Printf.sprintf "%s N=%d n=%d" name nshards n in
+              let d1, sf1, ns1 = run_direct ~scheme ~nshards ~n in
+              let d2, sf2, ns2 = run_facade ~scheme ~nshards ~n in
               Alcotest.(check bool) (label ^ ": identical media") true (Digest.equal d1 d2);
               Alcotest.(check int) (label ^ ": identical sfences") sf1 sf2;
               Alcotest.(check (float 0.0)) (label ^ ": identical sim time") ns1 ns2)
             [ 1; 2; 8 ])
         [ 1; 4 ])
-    [ Tinca.Per_block; Tinca.Batched ]
+    schemes
+
+let test_media_cost_identity () =
+  media_cost_identity
+    [
+      ("per-block", Tinca.Config.Logging Tinca.Per_block);
+      ("batched", Tinca.Config.Logging Tinca.Batched);
+    ]
+
+let test_paging_media_cost_identity () =
+  media_cost_identity [ ("paging", Tinca.Config.Paging Tinca.Config.default_page_cfg) ]
 
 (* --- paging round-trip, recovery, scheme sniffing ------------------------ *)
 
@@ -202,22 +219,21 @@ let test_stats_rows () =
   Alcotest.(check string) "paging scheme row" "paging" (List.assoc "scheme" kv_p);
   Alcotest.(check bool) "paging counted swings" true
     (int_of_string (List.assoc "table_swings" kv_p) >= 2);
-  (* The logging-only escape hatches refuse on paging media, and the
-     paging surface refuses on logging media — usage errors, not zeros. *)
-  let raises f = match f () with exception Invalid_argument _ -> true | _ -> false in
-  Alcotest.(check bool) "stats raises under paging" true (raises (fun () -> Tinca.stats tc_p));
-  Alcotest.(check bool) "layouts raises under paging" true (raises (fun () -> Tinca.layouts tc_p));
-  Alcotest.(check bool) "peak_cow raises under paging" true
-    (raises (fun () -> Tinca.peak_cow_blocks tc_p));
-  Alcotest.(check bool) "page_layouts raises under logging" true
-    (raises (fun () -> Tinca.page_layouts tc_l));
+  (* Scheme-specific introspection is data, not a usage error: each
+     scheme's layouts are empty under the other, and paging keeps no
+     COW chain. *)
+  Alcotest.(check int) "no logging layouts under paging" 0 (List.length (Tinca.layouts tc_p));
+  Alcotest.(check int) "no paging layouts under logging" 0
+    (List.length (Tinca.page_layouts tc_l));
+  Alcotest.(check int) "no COW chain under paging" 0 (Tinca.peak_cow_blocks tc_p);
+  Alcotest.(check bool) "layouts nonempty under logging" true (Tinca.layouts tc_l <> []);
   (* Scheme-independent surfaces work on both. *)
   ignore (Tinca.write_hit_rate tc_p);
   ignore (Tinca.txn_size_histogram tc_p);
   ignore (Tinca.region_wear tc_p);
   Alcotest.(check bool) "page_layouts nonempty" true (Tinca.page_layouts tc_p <> [])
 
-(* --- config: spellings, rejections, the deprecation shim ----------------- *)
+(* --- config: spellings, rejections, the CLI funnel ----------------------- *)
 
 let test_config_validation () =
   (match Tinca.Config.scheme_of_string "paging" with
@@ -256,35 +272,10 @@ let test_config_validation () =
    with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "paging + write-through validated");
-  (* The deprecated commit_pipeline spelling still steers an untouched
-     commit_scheme, and validate normalizes the two fields to agree. *)
-  (match
-     Tinca.Config.validate
-       { Tinca.Config.default with Tinca.Config.commit_pipeline = Tinca.Per_block }
-   with
-  | Ok c -> (
-      match Tinca.Config.effective_scheme c with
-      | Tinca.Config.Logging Tinca.Per_block -> ()
-      | _ -> Alcotest.fail "commit_pipeline shim ignored")
-  | Error m -> Alcotest.fail m);
-  (* An explicit commit_scheme wins over the deprecated field. *)
-  (match
-     Tinca.Config.validate
-       {
-         Tinca.Config.default with
-         Tinca.Config.commit_scheme = paging;
-         commit_pipeline = Tinca.Per_block;
-       }
-   with
-  | Ok c -> (
-      match Tinca.Config.effective_scheme c with
-      | Tinca.Config.Paging _ -> ()
-      | _ -> Alcotest.fail "explicit commit_scheme lost to the shim")
-  | Error m -> Alcotest.fail m);
   (* The CLI funnel: parses, validates, rejects the same combinations. *)
   (match Tinca.Config.of_args ~scheme:"paging" ~shards:2 () with
   | Ok c -> (
-      match Tinca.Config.effective_scheme c with
+      match c.Tinca.Config.commit_scheme with
       | Tinca.Config.Paging _ -> Alcotest.(check int) "of_args shards" 2 c.Tinca.Config.nshards
       | _ -> Alcotest.fail "of_args scheme lost")
   | Error m -> Alcotest.fail m);
@@ -492,11 +483,13 @@ let suite =
   [
     ( "page",
       [
-        Alcotest.test_case "logging scheme media+cost identical via Commit_scheme" `Quick
+        Alcotest.test_case "logging scheme media+cost identical to direct Shard" `Quick
           test_media_cost_identity;
+        Alcotest.test_case "paging scheme media+cost identical to direct Paging" `Quick
+          test_paging_media_cost_identity;
         Alcotest.test_case "paging round-trip + recovery" `Quick test_paging_roundtrip;
         Alcotest.test_case "scheme-aware stats rows" `Quick test_stats_rows;
-        Alcotest.test_case "config spellings, rejections, shim" `Quick test_config_validation;
+        Alcotest.test_case "config spellings, rejections, funnel" `Quick test_config_validation;
         Alcotest.test_case "paging fence budget (2 single-shard, 4 multi)" `Quick
           test_paging_fence_budget;
         Alcotest.test_case "lockstep refinement paging N=1/4" `Quick test_lockstep_equiv_paging;
